@@ -26,6 +26,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mdworm/internal/engine"
 )
 
 // loadTenant is one simulated client population: a display name and the API
@@ -130,8 +132,8 @@ func runLoad(ctx context.Context, o loadOpts, stderr io.Writer) (*loadReport, er
 	client := &http.Client{Timeout: 60 * time.Second}
 	perTenantRate := o.Rate / float64(len(o.Tenants))
 
-	// Unique seeds per request force cache misses: a soak must measure the
-	// scheduler and the simulator, not the result cache.
+	// Unique config seeds per request force cache misses: a soak must measure
+	// the scheduler and the simulator, not the result cache.
 	var seq atomic.Int64
 
 	stats := make([]*tenantLoadStats, len(o.Tenants))
@@ -183,7 +185,7 @@ func runLoad(ctx context.Context, o loadOpts, stderr io.Writer) (*loadReport, er
 			go func(tn loadTenant) {
 				defer wg.Done()
 				for sched := range arrivals {
-					doLoadRequest(ctx, client, base, tn, seq.Add(1), sched, st)
+					doLoadRequest(ctx, client, base, tn, loadRunBody(o.Seed, seq.Add(1)), sched, st)
 				}
 			}(tn)
 		}
@@ -228,13 +230,20 @@ func runLoad(ctx context.Context, o loadOpts, stderr io.Writer) (*loadReport, er
 	return rep, nil
 }
 
-// doLoadRequest issues one /v1/run with a unique-seed tiny config and files
-// the outcome. Latency runs from the scheduled arrival, not the send.
-func doLoadRequest(ctx context.Context, client *http.Client, base string, tn loadTenant, n int64, sched time.Time, st *tenantLoadStats) {
-	// A small but real simulation: the same shape the service tests use, so
-	// one request costs milliseconds and the soak exercises scheduling, not
-	// one long run.
-	body := fmt.Sprintf(`{"config":{"stages":2,"degree":4,"warmup_cycles":200,"measure_cycles":800,"drain_cycles":50000,"op_rate":0.001,"seed":%d}}`, n)
+// loadRunBody is the /v1/run body of a soak's n-th request: a small but
+// real simulation — the shape the service tests use, so one request costs
+// milliseconds and the soak exercises scheduling, not one long run — whose
+// config seed is drawn from (-seed, n). Every request of a soak is a fresh
+// cache miss, and so is every request of a second soak with another -seed
+// against the same daemon.
+func loadRunBody(seed uint64, n int64) string {
+	cfgSeed := engine.NewRNG(seed).Fork(uint64(n)).Uint64() >> 11 // exact in any JSON number
+	return fmt.Sprintf(`{"config":{"stages":2,"degree":4,"warmup_cycles":200,"measure_cycles":800,"drain_cycles":50000,"op_rate":0.001,"seed":%d}}`, cfgSeed)
+}
+
+// doLoadRequest issues one /v1/run and files the outcome. Latency runs from
+// the scheduled arrival, not the send.
+func doLoadRequest(ctx context.Context, client *http.Client, base string, tn loadTenant, body string, sched time.Time, st *tenantLoadStats) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/run", strings.NewReader(body))
 	if err != nil {
 		st.mu.Lock()

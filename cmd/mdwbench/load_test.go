@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mdworm/internal/service"
 )
 
 func TestParseLoadKeys(t *testing.T) {
@@ -186,5 +189,40 @@ func TestRunLoadRejectsBadRate(t *testing.T) {
 	if _, err := runLoad(context.Background(), loadOpts{Base: "http://x", Rate: 0,
 		Tenants: []loadTenant{{name: "anonymous"}}}, os.Stderr); err == nil {
 		t.Fatal("zero rate accepted")
+	}
+}
+
+// TestLoadSeedsDisjoint: request configs derive their seed from -seed and
+// the request index, so two soaks with different -seed values against one
+// daemon share no config hash — the second is not served from cache — and
+// one soak never repeats a config.
+func TestLoadSeedsDisjoint(t *testing.T) {
+	hashes := func(seed uint64) map[string]bool {
+		out := map[string]bool{}
+		for n := int64(1); n <= 200; n++ {
+			var req service.RunRequest
+			if err := json.Unmarshal([]byte(loadRunBody(seed, n)), &req); err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := req.Config.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, _, err := service.Hash(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[h] = true
+		}
+		if len(out) != 200 {
+			t.Fatalf("seed %d: %d distinct configs in 200 requests", seed, len(out))
+		}
+		return out
+	}
+	a, b := hashes(1), hashes(2)
+	for h := range a {
+		if b[h] {
+			t.Fatalf("-seed 1 and -seed 2 share config hash %s", h)
+		}
 	}
 }

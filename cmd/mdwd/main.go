@@ -15,24 +15,26 @@
 // GET /metrics. See the README "Run as a service" section for the full
 // reference.
 //
-// Cluster mode scales the same API across machines: `mdwd -coordinator
-// -peers=http://w1:8080,http://w2:8080` serves /v1/run and /v1/experiment by
-// sharding work over the peer worker daemons (consistent hashing on the
-// config hash keeps each worker's cache hot on a disjoint key range), while
-// plain worker daemons may also announce themselves to a coordinator with
-// `-join http://coord:8080`. mdwbench -daemon works unchanged against either
-// mode. See the README "Cluster mode" section.
+// Cluster mode scales the same front door across machines: `mdwd
+// -coordinator -peers=http://w1:8080,http://w2:8080` serves the identical API
+// but executes runs and experiment points by sharding them over the peer
+// worker daemons (consistent hashing on the config hash keeps each worker's
+// cache hot on a disjoint key range), while plain worker daemons may also
+// announce themselves to a coordinator with `-join http://coord:8080`.
+// mdwbench -daemon works unchanged against either mode. See the README
+// "Cluster mode" section.
 //
 // SIGINT/SIGTERM drain gracefully: new jobs are rejected, running jobs
 // finish (up to -drain-timeout), and the process exits 0. SIGHUP re-reads
-// the -tenants file in place: keys, weights, and quotas change without
-// dropping queued jobs, and an invalid file is rejected with a logged error
-// while the previous table stays live.
+// the -tenants file in place, in either mode: keys, weights, and quotas
+// change without dropping queued jobs, and an invalid file is rejected with a
+// logged error while the previous table stays live.
 package main
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -53,14 +55,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
-}
-
-// daemon is the mode-independent surface run needs: both service.Server
-// (single node) and cluster.Coordinator satisfy it.
-type daemon interface {
-	Handler() http.Handler
-	BeginDrain()
-	Drain(time.Duration) bool
 }
 
 // run is main with its environment made explicit; ready (when non-nil)
@@ -140,8 +134,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		tenants = ts
 	}
 
+	// Both modes serve through one service.Server; they differ only in its
+	// executor — the in-process simulator, or the coordinator's fleet.
 	var (
-		srv  daemon
+		srv  *service.Server
 		mode string
 	)
 	if *coordinator {
@@ -183,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			return 1
 		}
 		defer coord.Close()
-		srv = coord
+		srv = coord.Server
 		mode = fmt.Sprintf("coordinator, peers=%d", len(peerList))
 	} else {
 		s, err := service.New(service.Config{
@@ -235,14 +231,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	defer stop()
 
 	if *tenantsFile != "" {
-		if rl, ok := srv.(tenantReloader); ok {
-			hup := make(chan os.Signal, 1)
-			signal.Notify(hup, syscall.SIGHUP)
-			defer signal.Stop(hup)
-			go hupLoop(ctx, hup, rl, *tenantsFile, stdout, stderr)
-		} else {
-			fmt.Fprintln(stderr, "mdwd: note: coordinator mode does not hot-reload -tenants on SIGHUP")
-		}
+		hup := make(chan os.Signal, 1)
+		signal.Notify(hup, syscall.SIGHUP)
+		defer signal.Stop(hup)
+		go hupLoop(ctx, hup, srv, *tenantsFile, stdout, stderr)
 	}
 
 	if *join != "" {
@@ -280,17 +272,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	return 0
 }
 
-// tenantReloader is the daemon capability behind SIGHUP: service.Server
-// implements it; the cluster coordinator (whose tenants gate dispatch, not
-// queues) does not yet.
-type tenantReloader interface {
-	ReloadTenants(*service.TenantSet) error
-}
-
 // hupLoop re-reads the tenants file on every SIGHUP. A file that fails to
 // parse (or validate) is rejected with a logged error and the previous table
 // stays live — a bad edit must never lock every client out.
-func hupLoop(ctx context.Context, hup <-chan os.Signal, rl tenantReloader, path string, stdout, stderr io.Writer) {
+func hupLoop(ctx context.Context, hup <-chan os.Signal, srv *service.Server, path string, stdout, stderr io.Writer) {
 	for {
 		select {
 		case <-ctx.Done():
@@ -301,7 +286,7 @@ func hupLoop(ctx context.Context, hup <-chan os.Signal, rl tenantReloader, path 
 				fmt.Fprintf(stderr, "mdwd: tenants reload rejected, keeping previous table: %v\n", err)
 				continue
 			}
-			if err := rl.ReloadTenants(ts); err != nil {
+			if err := srv.ReloadTenants(ts); err != nil {
 				fmt.Fprintf(stderr, "mdwd: tenants reload rejected: %v\n", err)
 				continue
 			}
@@ -333,11 +318,11 @@ func joinLoop(ctx context.Context, coord, self string, every time.Duration, stde
 		every = time.Second
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
-	body := fmt.Sprintf(`{"peer":%q}`, self)
+	body, _ := json.Marshal(service.JoinRequest{Peer: self}) // one string field: encoding cannot fail
 	announced := false
 	post := func() {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-			coord+"/v1/cluster/join", bytes.NewReader([]byte(body)))
+			coord+"/v1/cluster/join", bytes.NewReader(body))
 		if err != nil {
 			return
 		}

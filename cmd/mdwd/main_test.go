@@ -268,3 +268,72 @@ func TestTenantsSIGHUP(t *testing.T) {
 		t.Fatal("no exit after SIGTERM")
 	}
 }
+
+// TestCoordinatorTenantsSIGHUP: a coordinator serves through the same front
+// door as a single node, so SIGHUP reloads its tenants too — a newly added
+// key authenticates and a removed one is refused.
+func TestCoordinatorTenantsSIGHUP(t *testing.T) {
+	tf := t.TempDir() + "/tenants"
+	if err := os.WriteFile(tf, []byte("key-old alpha 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out syncBuffer
+	ready := make(chan string, 1)
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"-addr", "127.0.0.1:0", "-coordinator", "-tenants", tf, "-drain-timeout", "10s"},
+			&out, &out, ready)
+	}()
+	var base string
+	select {
+	case addr := <-ready:
+		base = "http://" + addr
+	case code := <-exit:
+		t.Fatalf("coordinator exited early: %d\n%s", code, out.String())
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator never became ready")
+	}
+	get := func(key string) int {
+		req, err := http.NewRequest(http.MethodGet, base+"/v1/jobs", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := get("key-old"); got != http.StatusOK {
+		t.Fatalf("key-old before reload: %d", got)
+	}
+
+	if err := os.WriteFile(tf, []byte("key-new alpha 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); get("key-new") != http.StatusOK; {
+		if time.Now().After(deadline) {
+			t.Fatalf("key-new never authenticated after SIGHUP:\n%s", out.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if got := get("key-old"); got != http.StatusUnauthorized {
+		t.Fatalf("removed key-old after reload: %d", got)
+	}
+
+	syscall.Kill(syscall.Getpid(), syscall.SIGTERM)
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("exit %d\n%s", code, out.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("no exit after SIGTERM")
+	}
+}

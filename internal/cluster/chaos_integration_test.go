@@ -234,9 +234,9 @@ func TestCoordinatorRestartResolvesExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: "a8",
+	c1.journal.Record(service.JournalRec{Kind: service.RecAccepted, Hash: "a8",
 		JobKind: "experiment", Config: reqJSON})
-	c1.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: "e9",
+	c1.journal.Record(service.JournalRec{Kind: service.RecAccepted, Hash: "e9",
 		JobKind: "experiment"})
 	c1.Close()
 
@@ -246,7 +246,7 @@ func TestCoordinatorRestartResolvesExperiment(t *testing.T) {
 	}
 	defer c2.Close()
 	waited := make(chan struct{})
-	go func() { c2.jobs.Wait(); close(waited) }()
+	go func() { c2.Drain(time.Hour); close(waited) }()
 	select {
 	case <-waited:
 	case <-time.After(120 * time.Second):

@@ -422,7 +422,7 @@ func TestClusterJoinAndStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jr JoinResponse
+	var jr service.JoinResponse
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -32,11 +32,12 @@ const (
 // Config parameterizes a coordinator.
 type Config struct {
 	// Peers are the initial worker base URLs (e.g. "http://10.0.0.2:7077");
-	// more may join at runtime through POST /v1/cluster/join.
+	// more may join at runtime through POST /v1/cluster/join. Their count
+	// also sizes the coordinator's job pool (4 per peer + 4).
 	Peers []string
-	// CacheDir, when non-empty, persists the coordinator's job journal
-	// there, giving the fleet "never lost, never double-run" across
-	// coordinator restarts.
+	// CacheDir, when non-empty, persists the coordinator's job journal and
+	// merged results there, giving the fleet "never lost, never double-run"
+	// across coordinator restarts.
 	CacheDir string
 	// CacheEntries bounds the in-memory merged-result cache (0 = 1024).
 	CacheEntries int
@@ -61,12 +62,9 @@ type Config struct {
 	// coordinator's journal (0 = service.DefaultJournalMaxBytes; negative
 	// disables size-triggered compaction).
 	JournalMaxBytes int64
-	// Tenants, when non-nil, requires every job-creating request to
-	// authenticate with "Authorization: Bearer <key>" against this set,
-	// attributes journal records to tenants, and breaks request counters out
-	// per tenant on /metrics. Nil = open front door, exactly as before.
-	// Worker-side fair-share scheduling is the workers' own -tenants
-	// configuration; the coordinator only authenticates and attributes.
+	// Tenants, when non-nil, turns on multi-tenant mode at the front door
+	// exactly as service.Config.Tenants does. Worker-side fair-share
+	// scheduling is the workers' own -tenants configuration.
 	Tenants *service.TenantSet
 	// WorkerKey, when non-empty, is presented as "Authorization: Bearer
 	// <key>" on every shard dispatch and checkpoint-mirror request, so the
@@ -92,16 +90,18 @@ type Config struct {
 	ProbeTimeout time.Duration
 }
 
-// Coordinator is the cluster front end: the same /v1 API surface as a
-// single mdwd daemon, backed by a fleet of them.
+// Coordinator is a cluster mode mdwd: the one service.Server front door
+// (embedded, so Handler, BeginDrain, Drain and ReloadTenants are the
+// server's) over this package's remote executor, which resolves every run
+// and every standard sweep point on a fleet of peer daemons.
 type Coordinator struct {
+	*service.Server
+
 	cfg     Config
 	peers   *PeerSet
-	cache   *service.Cache
-	journal *service.Journal // nil without a cache directory
+	cache   *service.Cache   // the server's result cache
+	journal *service.Journal // the server's journal; nil without a cache directory
 	client  *http.Client
-	mux     *http.ServeMux
-	start   time.Time
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -109,27 +109,14 @@ type Coordinator struct {
 	mu       sync.Mutex
 	inflight map[string]*call
 
-	// tmu guards tenantsSeen, the per-tenant request counters (multi-tenant
-	// mode only).
-	tmu         sync.Mutex
-	tenantsSeen map[string]*tenantCounters
-
 	shardsInflight atomic.Int64
 	hedges         atomic.Int64
 	migrations     atomic.Int64
-	jobSeq         atomic.Int64
-
-	draining atomic.Bool
-	jobs     sync.WaitGroup
 }
 
-// New builds a coordinator, recovers its journal, and starts the peer
-// health-probe loop.
+// New builds a coordinator — its server recovers the journal — and starts
+// the peer health-probe loop.
 func New(cfg Config) (*Coordinator, error) {
-	cache, err := service.NewCache(max(cfg.CacheEntries, 1024), "")
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	peers := NewPeerSet(nil)
 	peers.ConfigureBreakers(breakerConfig{Threshold: cfg.BreakerThreshold,
@@ -141,56 +128,32 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:      cfg,
 		peers:    peers,
-		cache:    cache,
 		client:   &http.Client{Transport: cfg.Transport},
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
 		baseCtx:  ctx,
 		stop:     cancel,
 		inflight: make(map[string]*call),
-
-		tenantsSeen: make(map[string]*tenantCounters),
 	}
-	if cfg.CacheDir != "" {
-		if err := c.recover(); err != nil {
-			cancel()
-			return nil, err
-		}
+	// A coordinator job mostly waits on the network, so its pool is as wide
+	// as a sweep's shard fan-out over the configured fleet.
+	srv, err := service.NewWithExecutor(service.Config{
+		Workers:         fanOut(len(cfg.Peers)),
+		CacheEntries:    cfg.CacheEntries,
+		CacheDir:        cfg.CacheDir,
+		JournalMaxBytes: cfg.JournalMaxBytes,
+		Tenants:         cfg.Tenants,
+	}, c)
+	if err != nil {
+		cancel()
+		return nil, err
 	}
-	c.mux.HandleFunc("POST /v1/run", c.handleRun)
-	c.mux.HandleFunc("POST /v1/experiment", c.handleExperiment)
-	c.mux.HandleFunc("GET /v1/experiments", c.handleExperiments)
-	c.mux.HandleFunc("POST /v1/cluster/join", c.handleJoin)
-	c.mux.HandleFunc("GET /v1/cluster/status", c.handleStatus)
-	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
-	c.mux.HandleFunc("GET /metrics", c.handleMetrics)
+	c.Server = srv
 	go c.probeLoop()
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP handler.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
 // Close stops the probe loop and background machinery. In-flight shard
 // attempts are cut off at their next context check.
 func (c *Coordinator) Close() { c.stop() }
-
-// BeginDrain rejects new job-creating requests with 503 while letting
-// in-flight work finish.
-func (c *Coordinator) BeginDrain() { c.draining.Store(true) }
-
-// Drain stops intake and waits up to timeout for in-flight requests.
-func (c *Coordinator) Drain(timeout time.Duration) bool {
-	c.BeginDrain()
-	done := make(chan struct{})
-	go func() { c.jobs.Wait(); close(done) }()
-	select {
-	case <-done:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
-}
 
 // probeLoop keeps peer health marks fresh.
 func (c *Coordinator) probeLoop() {
@@ -210,464 +173,74 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// journalAppend mirrors service.Server.journalAppend: durability for
-// restarts, never a correctness dependency of the running coordinator.
-func (c *Coordinator) journalAppend(rec service.JournalRec) {
-	if c.journal == nil {
-		return
-	}
-	_ = c.journal.Append(rec)
+// Attach implements service.Executor: shard results share the server's
+// cache, and shard records its journal.
+func (c *Coordinator) Attach(j *service.Journal, cache *service.Cache) {
+	c.journal, c.cache = j, cache
 }
 
-// recover replays the coordinator's journal and closes out what the previous
-// process left behind: pending run jobs are re-dispatched in the background
-// (worker caches make a re-dispatch of finished-but-unjournaled work a cheap
-// cache hit), and pending experiments whose accepted record carries the full
-// request are re-resolved headlessly — the sweep re-runs against warm worker
-// caches and its completion is journaled, so a client that reconnects with
-// the stream token resumes against finished work instead of a failed job.
-// Only legacy records with no replayable request are failed outright.
-func (c *Coordinator) recover() error {
-	pending, err := service.ReplayJournal(c.cfg.CacheDir)
-	if err != nil {
-		return err
-	}
-	j, err := service.ResetJournal(c.cfg.CacheDir)
-	if err != nil {
-		return err
-	}
-	c.journal = j
-	switch {
-	case c.cfg.JournalMaxBytes > 0:
-		j.SetMaxBytes(c.cfg.JournalMaxBytes)
-	case c.cfg.JournalMaxBytes == 0:
-		j.SetMaxBytes(service.DefaultJournalMaxBytes)
-	}
-
-	for _, p := range pending {
-		switch {
-		case p.JobKind == "experiment":
-			var req service.ExperimentRequest
-			if len(p.Config) == 0 || json.Unmarshal(p.Config, &req) != nil || req.ID == "" {
-				c.journalAppend(service.JournalRec{Kind: service.RecFailed, Hash: p.Hash,
-					JobKind: p.JobKind, Error: "interrupted by coordinator restart"})
-				continue
-			}
-			c.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: p.Hash,
-				JobKind: "experiment", Config: p.Config})
-			c.jobs.Add(1)
-			go func() {
-				defer c.jobs.Done()
-				_, _, err := c.runSweep(c.baseCtx, req, func(service.StreamEvent) {})
-				c.finishJob(req.ID, "experiment", err)
-			}()
-		case len(p.Config) == 0:
-			c.journalAppend(service.JournalRec{Kind: service.RecFailed, Hash: p.Hash,
-				JobKind: p.JobKind, Error: "journal carries no configuration for this job"})
-		default:
-			var canon core.Config
-			if err := json.Unmarshal(p.Config, &canon); err != nil {
-				c.journalAppend(service.JournalRec{Kind: service.RecFailed, Hash: p.Hash,
-					JobKind: "run", Error: fmt.Sprintf("journaled config does not parse: %v", err)})
-				continue
-			}
-			c.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: p.Hash,
-				JobKind: "run", Config: p.Config})
-			hash := p.Hash
-			c.jobs.Add(1)
-			go func() {
-				defer c.jobs.Done()
-				_, err := c.resolveShard(c.baseCtx, hash, canon, 0)
-				c.finishJob(hash, "run", err)
-			}()
-		}
-	}
-	return nil
+// Run implements service.Executor: the run is one shard, resolved through
+// the fleet on the coordinator's own context, so it completes and lands in
+// the cache even when its client gave up.
+func (c *Coordinator) Run(job service.RunJob) ([]byte, service.JobStats, error) {
+	res, err := c.resolveShard(c.baseCtx, job.Hash, job.Config, job.DeadlineMillis)
+	return res.body, service.JobStats{Points: 1, Cycles: res.cycles, Violations: res.res.InvariantViolations}, err
 }
 
-// finishJob writes a job-level terminal record.
-func (c *Coordinator) finishJob(hash, jobKind string, err error) {
-	rec := service.JournalRec{Kind: service.RecDone, Hash: hash, JobKind: jobKind}
-	if err != nil {
-		rec.Kind = service.RecFailed
-		rec.Error = err.Error()
+// SweepContext implements service.Executor: a sweep runs on the
+// coordinator's context, not its client's. A dropped connection stops the
+// stream, but the shards keep resolving into caches and the job is still
+// journaled done, so the client's reconnect (same stream token, its last
+// seq as after_seq) replays only what it missed — from cache, cheaply. For
+// the same reason an experiment pending at restart is re-resolved
+// headlessly, provided its journaled request survives.
+func (c *Coordinator) SweepContext(client context.Context, req service.ExperimentRequest) (context.Context, error) {
+	if client == nil && req.ID == "" {
+		return nil, errors.New("interrupted by coordinator restart (no replayable request journaled)")
 	}
-	c.journalAppend(rec)
+	return c.baseCtx, nil
 }
 
-// apiError mirrors the service package's error body so clients cannot tell
-// coordinator and single daemon apart.
-type apiError struct {
-	Code              string `json:"code"`
-	Message           string `json:"message"`
-	Job               string `json:"job,omitempty"`
-	RetryAfterSeconds int    `json:"retry_after_seconds,omitempty"`
-	// Retryable tells clients whether repeating the identical request can
-	// succeed — true for infrastructure weather (dead peers, deadlines,
-	// draining), false for properties of the request itself.
-	Retryable bool `json:"retryable,omitempty"`
-}
-
-func writeErr(w http.ResponseWriter, status int, e apiError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]apiError{"error": e})
-}
-
-// rejectDraining answers a job-creating request during shutdown.
-func rejectDraining(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", "1")
-	writeErr(w, http.StatusServiceUnavailable, apiError{
-		Code: "draining", Message: "coordinator is draining", RetryAfterSeconds: 1,
-		Retryable: true})
-}
-
-// tenantCounters is one tenant's request accounting at the coordinator
-// front door.
-type tenantCounters struct{ runs, experiments, hits, misses int64 }
-
-// tenantFor authenticates a request against the coordinator's tenant set,
-// mirroring the service-layer semantics: anonymous when no tenants are
-// configured, structured 401 otherwise (already written when ok is false).
-func (c *Coordinator) tenantFor(w http.ResponseWriter, r *http.Request) (t *service.Tenant, ok bool) {
-	if c.cfg.Tenants == nil {
-		return service.AnonymousTenant(), true
-	}
-	unauthorized := func(msg string) {
-		w.Header().Set("WWW-Authenticate", `Bearer realm="mdwd"`)
-		writeErr(w, http.StatusUnauthorized, apiError{Code: "unauthorized", Message: msg})
-	}
-	h := r.Header.Get("Authorization")
-	if h == "" {
-		unauthorized(`missing Authorization header (want "Bearer <key>")`)
-		return nil, false
-	}
-	scheme, key, found := strings.Cut(h, " ")
-	key = strings.TrimSpace(key)
-	if !found || !strings.EqualFold(scheme, "Bearer") || key == "" {
-		unauthorized(`malformed Authorization header (want "Bearer <key>")`)
-		return nil, false
-	}
-	t = c.cfg.Tenants.LookupKey(key)
-	if t == nil {
-		unauthorized("unknown API key")
-		return nil, false
-	}
-	return t, true
-}
-
-// countTenant applies one accounting update for a tenant (multi-tenant mode
-// only).
-func (c *Coordinator) countTenant(t *service.Tenant, f func(*tenantCounters)) {
-	if c.cfg.Tenants == nil {
-		return
-	}
-	c.tmu.Lock()
-	defer c.tmu.Unlock()
-	tc := c.tenantsSeen[t.Name]
-	if tc == nil {
-		tc = &tenantCounters{}
-		c.tenantsSeen[t.Name] = tc
-	}
-	f(tc)
-}
-
-func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		rejectDraining(w)
-		return
-	}
-	tn, ok := c.tenantFor(w, r)
-	if !ok {
-		return
-	}
-	var req service.RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_request", Message: err.Error()})
-		return
-	}
-	var cfg core.Config
-	if req.RawConfig != nil {
-		cfg = *req.RawConfig
-	} else {
-		resolved, err := req.Config.Resolve()
+// Sweep implements service.Executor: standard points resolve as shards
+// through the fleet (custom-harness points run locally; see
+// experiments.Options.Resolver), with the client's deadline forwarded.
+func (c *Coordinator) Sweep(req service.ExperimentRequest, o *experiments.Options) {
+	ctx := o.Context
+	o.Workers = c.sweepWorkers()
+	o.Resolver = func(cfg core.Config, _ string) (stats.Results, int64, error) {
+		hash, canon, err := service.Hash(cfg)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, apiError{Code: "bad_config", Message: err.Error()})
-			return
+			return stats.Results{}, 0, err
 		}
-		cfg = resolved
+		res, err := c.resolveShard(ctx, hash, canon, req.DeadlineMillis)
+		return res.res, res.cycles, err
 	}
-	hash, canon, err := service.Hash(cfg)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "invalid_config", Message: err.Error()})
-		return
-	}
-
-	if body, ok := c.cache.Get(hash); ok {
-		c.countTenant(tn, func(tc *tenantCounters) { tc.runs++; tc.hits++ })
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Mdwd-Cache", "hit")
-		w.Header().Set("X-Mdwd-Hash", hash)
-		w.Header().Set("X-Mdwd-Body-SHA256", service.BodySHA(body))
-		w.Write(body)
-		return
-	}
-	c.countTenant(tn, func(tc *tenantCounters) { tc.runs++; tc.misses++ })
-
-	canonJSON, err := json.Marshal(canon)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, apiError{Code: "internal", Message: err.Error()})
-		return
-	}
-	c.jobs.Add(1)
-	defer c.jobs.Done()
-	c.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: hash,
-		JobKind: "run", Tenant: tn.Name, Config: canonJSON})
-	// The client's deadline bounds how long this handler waits; the original
-	// (not remaining) budget is forwarded to workers, where it can become a
-	// deterministic cycle budget.
-	waitCtx := r.Context()
-	if req.DeadlineMillis > 0 {
-		var cancel context.CancelFunc
-		waitCtx, cancel = context.WithTimeout(waitCtx, time.Duration(req.DeadlineMillis)*time.Millisecond)
-		defer cancel()
-	}
-	res, err := c.resolveShard(waitCtx, hash, canon, req.DeadlineMillis)
-	if err != nil {
-		if r.Context().Err() != nil {
-			// Client gone; the shard continues and its completion will be
-			// journaled by whoever owns the singleflight call. The job-level
-			// record is closed out by a later identical request or restart
-			// re-dispatch — both cache hits.
-			return
-		}
-		if waitCtx.Err() != nil {
-			// The client's deadline expired but the shard continues
-			// server-side; re-asking eventually lands a cache hit.
-			writeErr(w, http.StatusGatewayTimeout, apiError{Code: "timeout",
-				Message: fmt.Sprintf("deadline of %dms elapsed; job continues, retry for the cached result", req.DeadlineMillis),
-				Retryable: true})
-			return
-		}
-		c.finishJob(hash, "run", err)
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "run_failed",
-			Message: err.Error(), Retryable: IsRetryable(err)})
-		return
-	}
-	c.finishJob(hash, "run", nil)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Mdwd-Cache", "miss")
-	w.Header().Set("X-Mdwd-Hash", hash)
-	w.Header().Set("X-Mdwd-Body-SHA256", service.BodySHA(res.body))
-	w.Write(res.body)
 }
+
+// fanOut is how many shards n peers keep busy: 4 per peer plus 4.
+func fanOut(n int) int { return 4*max(n, 1) + 4 }
 
 // sweepWorkers returns the shard fan-out bound for one experiment.
 func (c *Coordinator) sweepWorkers() int {
 	if c.cfg.SweepWorkers > 0 {
 		return c.cfg.SweepWorkers
 	}
-	return 4*max(c.peers.HealthyCount(), 1) + 4
+	return fanOut(c.peers.HealthyCount())
 }
 
-func (c *Coordinator) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		rejectDraining(w)
-		return
+// Join implements service.Fleet: a worker announcing itself lands on the
+// ring.
+func (c *Coordinator) Join(peer string) ([]string, error) {
+	if !strings.HasPrefix(peer, "http://") && !strings.HasPrefix(peer, "https://") {
+		return nil, fmt.Errorf("peer %q is not an http(s) base URL", peer)
 	}
-	tn, ok := c.tenantFor(w, r)
-	if !ok {
-		return
-	}
-	var req service.ExperimentRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_request", Message: err.Error()})
-		return
-	}
-	known := false
-	for _, id := range experiments.IDs() {
-		if id == req.ID {
-			known = true
-			break
-		}
-	}
-	if !known {
-		writeErr(w, http.StatusNotFound, apiError{Code: "unknown_experiment",
-			Message: fmt.Sprintf("unknown experiment %q (GET /v1/experiments lists ids)", req.ID)})
-		return
-	}
-	if req.Seed == 0 {
-		req.Seed = 1
-	}
-	if req.Stream != "" && !service.ValidStreamToken(req.Stream) {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_stream",
-			Message: fmt.Sprintf("%q is not a stream token", req.Stream)})
-		return
-	}
-	if req.AfterSeq < 0 {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_cursor",
-			Message: "after_seq must be >= 0"})
-		return
-	}
-	if req.Stream == "" {
-		req.Stream = service.NewStreamToken()
-		req.AfterSeq = 0
-	}
-
-	c.countTenant(tn, func(tc *tenantCounters) { tc.experiments++ })
-	c.jobs.Add(1)
-	defer c.jobs.Done()
-	reqJSON, _ := json.Marshal(req)
-	c.journalAppend(service.JournalRec{Kind: service.RecAccepted, Hash: req.ID,
-		JobKind: "experiment", Tenant: tn.Name, Config: reqJSON})
-
-	// The sweep runs on this handler goroutine's pool; only this goroutine
-	// writes the response. Events flow: shard completion (any order) →
-	// reorder buffer (table order, 1-based seq) → ndjson stream, with
-	// seq <= after_seq filtered out on a resume. The sweep itself runs on the
-	// coordinator's context, not the client's: a dropped connection stops the
-	// stream but the shards keep resolving into caches and the job is still
-	// journaled done, so the client's reconnect (same stream token, its last
-	// seq as after_seq) replays only what it missed — from cache, cheaply.
-	clientCtx := r.Context()
-	sweepCtx := c.baseCtx
-	if req.DeadlineMillis > 0 {
-		var cancel context.CancelFunc
-		sweepCtx, cancel = context.WithTimeout(sweepCtx, time.Duration(req.DeadlineMillis)*time.Millisecond)
-		defer cancel()
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var wmu sync.Mutex
-	emitEvent := func(ev service.StreamEvent) {
-		if clientCtx.Err() != nil {
-			return // client gone: the sweep outlives the stream
-		}
-		wmu.Lock()
-		defer wmu.Unlock()
-		enc.Encode(ev)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	emitEvent(service.StreamEvent{Type: "start", ID: req.ID, Stream: req.Stream,
-		Job: fmt.Sprintf("c%d", c.jobSeq.Add(1))})
-
-	st, tables, err := c.runSweep(sweepCtx, req, emitEvent)
-	if err != nil {
-		c.finishJob(req.ID, "experiment", err)
-		emitEvent(service.StreamEvent{Type: "error", ID: req.ID, Err: err.Error(),
-			Retryable: IsRetryable(err)})
-		return
-	}
-	for _, t := range tables {
-		var buf strings.Builder
-		t.Format(&buf)
-		emitEvent(service.StreamEvent{Type: "table", ID: t.ID, Text: buf.String()})
-	}
-	c.finishJob(req.ID, "experiment", nil)
-	emitEvent(service.StreamEvent{Type: "done", ID: req.ID, Points: st.Points,
-		Cycles: st.Cycles, WallSeconds: st.Wall.Seconds()})
-}
-
-// runSweep plans one experiment, resolves its standard points through the
-// cluster (custom-harness points run locally; see experiments.Options
-// .Resolver), and emits point events in deterministic table order through
-// the shared reorder buffer — the same one the single-node daemon streams
-// through, so cluster and single-node streams are byte-identical. Points
-// with seq <= req.AfterSeq are suppressed: a resumed stream re-runs the
-// sweep (cache hits) but re-delivers only what the client has not seen.
-func (c *Coordinator) runSweep(ctx context.Context, req service.ExperimentRequest,
-	emitEvent func(service.StreamEvent)) (experiments.SweepStats, []*experiments.Table, error) {
-	ro := service.NewReorder(nil, func(seq int64, ev experiments.PointEvent) {
-		if seq > 0 && seq <= req.AfterSeq {
-			return
-		}
-		out := service.StreamEvent{
-			Type: "point", Seq: seq, Tag: ev.Tag, X: ev.X,
-			McastLat: ev.McastLatency, UniLat: ev.UniLatency,
-			Throughput: ev.Throughput, Saturated: ev.Saturated,
-			Dropped: ev.DestsDropped, Violations: ev.Violations,
-			Cycles: ev.Cycles,
-		}
-		if ev.Err != nil {
-			out.Err = ev.Err.Error()
-		}
-		emitEvent(out)
-	})
-	opts := experiments.Options{
-		Quick:   req.Quick,
-		Seed:    req.Seed,
-		Workers: c.sweepWorkers(),
-		Context: ctx,
-		OnPoint: func(ev experiments.PointEvent) { ro.Add(ev) },
-		Resolver: func(cfg core.Config, tag string) (stats.Results, int64, error) {
-			hash, canon, err := service.Hash(cfg)
-			if err != nil {
-				return stats.Results{}, 0, err
-			}
-			res, err := c.resolveShard(ctx, hash, canon, req.DeadlineMillis)
-			if err != nil {
-				return stats.Results{}, 0, err
-			}
-			return res.res, res.cycles, nil
-		},
-	}
-	tables, err := experiments.Plan([]string{req.ID}, opts)
-	if err != nil {
-		return experiments.SweepStats{}, nil, err
-	}
-	// Points only resolve during Finish, so installing the planned order here
-	// — between Plan and Finish — races nothing.
-	ro.Reindex(experiments.PlannedTags(tables))
-	st, err := experiments.Finish([]string{req.ID}, tables, opts)
-	ro.Flush()
-	return st, tables, err
-}
-
-func (c *Coordinator) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string][]string{"experiments": experiments.IDs()})
-}
-
-// JoinRequest is the body of POST /v1/cluster/join.
-type JoinRequest struct {
-	// Peer is the joining worker's base URL as the coordinator should dial
-	// it.
-	Peer string `json:"peer"`
-}
-
-// JoinResponse acknowledges a join with the current membership.
-type JoinResponse struct {
-	Peers []string `json:"peers"`
-}
-
-func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req JoinRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_request", Message: err.Error()})
-		return
-	}
-	if !strings.HasPrefix(req.Peer, "http://") && !strings.HasPrefix(req.Peer, "https://") {
-		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_peer",
-			Message: fmt.Sprintf("peer %q is not an http(s) base URL", req.Peer)})
-		return
-	}
-	c.peers.Join(strings.TrimRight(req.Peer, "/"))
+	c.peers.Join(strings.TrimRight(peer, "/"))
 	views := c.peers.Views()
 	urls := make([]string, len(views))
 	for i, v := range views {
 		urls[i] = v.URL
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(JoinResponse{Peers: urls})
+	return urls, nil
 }
 
 // StatusResponse is the body of GET /v1/cluster/status.
@@ -681,29 +254,15 @@ type StatusResponse struct {
 	Draining        bool       `json:"draining"`
 }
 
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := StatusResponse{
+// Status implements service.Fleet.
+func (c *Coordinator) Status() any {
+	return StatusResponse{
 		Peers:           c.peers.Views(),
 		HealthyPeers:    c.peers.HealthyCount(),
 		ShardsInflight:  c.shardsInflight.Load(),
 		HedgesTotal:     c.hedges.Load(),
 		MigrationsTotal: c.migrations.Load(),
-		Draining:        c.draining.Load(),
+		JournalBytes:    c.journal.Size(),
+		Draining:        c.Draining(),
 	}
-	if c.journal != nil {
-		st.JournalBytes = c.journal.Size()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st)
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if c.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ok")
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mdworm/internal/core"
+	"mdworm/internal/engine"
 	"mdworm/internal/service"
 	"mdworm/internal/stats"
 )
@@ -31,7 +32,8 @@ import (
 // re-run, checkpoint resume, hedge winner — produce byte-identical results.
 
 // shardResult is one resolved shard: the worker's raw response body (for
-// forwarding through /v1/run verbatim) plus its decoded measurement.
+// forwarding through /v1/run verbatim) plus its decoded measurement. A
+// failed shard still carries the simulated cycles its run reached.
 type shardResult struct {
 	body   []byte
 	res    stats.Results
@@ -64,24 +66,6 @@ func (m *mirror) get() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.blob
-}
-
-// retryableError marks a shard failure as infrastructure-transient:
-// repeating the identical request (after peers heal or breakers close) can
-// succeed. Config-level failures (deadlock, invariant violation, budget)
-// are never wrapped in it.
-type retryableError struct{ err error }
-
-func (e *retryableError) Error() string { return e.err.Error() }
-func (e *retryableError) Unwrap() error { return e.err }
-
-// IsRetryable reports whether err represents a transient cluster condition
-// (dead peers, exhausted attempt budgets, timeouts) rather than a property
-// of the request itself.
-func IsRetryable(err error) bool {
-	var re *retryableError
-	return errors.As(err, &re) ||
-		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 // resolveShard resolves one canonical config through the cluster: cache,
@@ -154,7 +138,7 @@ func (c *Coordinator) runShard(hash string, canon core.Config, deadlineMillis in
 		defer t.Stop()
 		hedge = t.C
 	}
-	var lastErr error
+	var last outcome
 	for outstanding > 0 {
 		select {
 		case out := <-results:
@@ -164,18 +148,18 @@ func (c *Coordinator) runShard(hash string, canon core.Config, deadlineMillis in
 				c.cache.Put(hash, out.res.body)
 				return out.res, nil
 			}
-			lastErr = out.err
+			last = out
 		case <-hedge:
 			hedge = nil
 			c.hedges.Add(1)
-			c.journalAppend(service.JournalRec{Kind: recShardDispatch, Hash: hash,
+			c.journal.Record(service.JournalRec{Kind: recShardDispatch, Hash: hash,
 				JobKind: "shard", Error: "hedge"})
 			launch(1)
 			outstanding++
 		}
 	}
-	c.finishShard(hash, lastErr)
-	return shardResult{}, lastErr
+	c.finishShard(hash, last.err)
+	return last.res, last.err
 }
 
 // finishShard writes the shard's single terminal journal record (a
@@ -186,7 +170,7 @@ func (c *Coordinator) finishShard(hash string, err error) {
 		rec.Kind = recShardFailed
 		rec.Error = err.Error()
 	}
-	c.journalAppend(rec)
+	c.journal.Record(rec)
 }
 
 // Attempt verdicts.
@@ -249,7 +233,7 @@ func (c *Coordinator) attemptFrom(hash string, canon core.Config, start int, m *
 			select {
 			case <-time.After(wait + time.Millisecond):
 			case <-c.baseCtx.Done():
-				return shardResult{}, &retryableError{err: c.baseCtx.Err()}
+				return shardResult{}, service.Retryable(c.baseCtx.Err())
 			}
 			continue
 		}
@@ -269,11 +253,11 @@ func (c *Coordinator) attemptFrom(hash string, canon core.Config, start int, m *
 			lastErr = err
 			c.peers.markHealth(peer, false)
 			c.migrations.Add(1)
-			c.journalAppend(service.JournalRec{Kind: recShardDispatch, Hash: hash,
+			c.journal.Record(service.JournalRec{Kind: recShardDispatch, Hash: hash,
 				JobKind: "shard", Peer: peer, Error: "migrate: " + err.Error()})
 			idx++
 		case vFatal:
-			return shardResult{}, err
+			return res, err
 		}
 	}
 	if breakerBlocked {
@@ -285,7 +269,7 @@ func (c *Coordinator) attemptFrom(hash string, canon core.Config, start int, m *
 	if lastErr == nil {
 		lastErr = fmt.Errorf("attempt budget exhausted")
 	}
-	return shardResult{}, &retryableError{err: fmt.Errorf("cluster: shard %s: %w", hash, lastErr)}
+	return shardResult{}, service.Retryable(fmt.Errorf("cluster: shard %s: %w", hash, lastErr))
 }
 
 // retryDelay is the pause before re-asking a busy peer.
@@ -318,7 +302,7 @@ func (c *Coordinator) attempt(peer, hash string, canon core.Config, m *mirror, d
 			c.peers.ReleaseDispatch(peer)
 		}
 	}()
-	c.journalAppend(service.JournalRec{Kind: recShardDispatch, Hash: hash, JobKind: "shard", Peer: peer})
+	c.journal.Record(service.JournalRec{Kind: recShardDispatch, Hash: hash, JobKind: "shard", Peer: peer})
 	release := c.peers.beginShard(peer)
 	defer release()
 
@@ -379,13 +363,19 @@ func (c *Coordinator) attempt(peer, hash string, canon core.Config, m *mirror, d
 		// The worker's run outlived its wait deadline but continues server-side;
 		// re-asking eventually returns its cache hit.
 		return shardResult{}, vRetry, fmt.Errorf("peer %s still running %s", peer, hash)
-	case resp.StatusCode >= 500:
-		return shardResult{}, vMigrate, fmt.Errorf("peer %s: %s: %s", peer, resp.Status, apiErrMsg(body))
-	default:
-		// 4xx: the configuration itself is rejected (deadlock, invariant
-		// violation, budget) — no other peer will disagree.
-		return shardResult{}, vFatal, fmt.Errorf("peer %s: %s: %s", peer, resp.Status, apiErrMsg(body))
 	}
+	cycles, err := service.DecodeError(body)
+	if resp.StatusCode >= 500 {
+		return shardResult{}, vMigrate, fmt.Errorf("peer %s: %s: %w", peer, resp.Status, err)
+	}
+	// 4xx: the configuration itself is rejected (deadlock, invariant
+	// violation, budget) — no other peer will disagree. A deadlock is the
+	// worker's own engine error, passed on as a local run would report it.
+	var de *engine.DeadlockError
+	if !errors.As(err, &de) {
+		err = fmt.Errorf("peer %s: %s: %w", peer, resp.Status, err)
+	}
+	return shardResult{cycles: cycles}, vFatal, err
 }
 
 // mirrorLoop polls the peer's checkpoint blob for the shard until done.
@@ -437,22 +427,13 @@ func (c *Coordinator) mirrorLoop(peer, hash string, m *mirror, done <-chan struc
 // runLocal is the no-healthy-peers fallback: the coordinator runs the shard
 // itself, producing the identical response body a worker would have.
 func (c *Coordinator) runLocal(hash string, canon core.Config) (shardResult, error) {
-	c.journalAppend(service.JournalRec{Kind: recShardDispatch, Hash: hash,
+	c.journal.Record(service.JournalRec{Kind: recShardDispatch, Hash: hash,
 		JobKind: "shard", Peer: "local"})
-	sim, err := core.New(canon)
+	body, st, err := service.Simulate(hash, canon)
 	if err != nil {
-		return shardResult{}, err
+		return shardResult{cycles: st.Cycles}, err
 	}
-	res, err := sim.Run()
-	if err != nil {
-		return shardResult{}, err
-	}
-	body, err := json.Marshal(service.RunResponse{Hash: hash, Config: canon,
-		Results: res, SimulatedCycles: sim.Now()})
-	if err != nil {
-		return shardResult{}, err
-	}
-	return shardResult{body: body, res: res, cycles: sim.Now()}, nil
+	return decodeShard(body)
 }
 
 // dispatchTimeout bounds one attempt's POST /v1/run round trip.
@@ -484,21 +465,4 @@ func retryAfter(resp *http.Response, fallback time.Duration) time.Duration {
 		}
 	}
 	return fallback
-}
-
-// apiErrMsg extracts the message of a structured error body, or echoes the
-// raw body truncated.
-func apiErrMsg(body []byte) string {
-	var e struct {
-		Error struct {
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(body, &e) == nil && e.Error.Message != "" {
-		return e.Error.Message
-	}
-	if len(body) > 200 {
-		body = body[:200]
-	}
-	return string(bytes.TrimSpace(body))
 }

@@ -1,35 +1,18 @@
 package cluster
 
-import (
-	"net/http"
-	"time"
+import "mdworm/internal/obs"
 
-	"mdworm/internal/obs"
-)
-
-// handleMetrics reports the coordinator's counters in the Prometheus text
-// exposition format (version 0.0.4): the cluster-wide gauges the alerts
-// watch (healthy peers, shards in flight, hedge and migration totals) plus
-// per-peer health and load broken out by the peer label.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// WriteMetrics implements service.Executor: the cluster-wide gauges the
+// alerts watch (healthy peers, shards in flight, hedge and migration
+// totals) plus per-peer health and load broken out by the peer label.
+func (c *Coordinator) WriteMetrics(p *obs.PromWriter) {
 	views := c.peers.Views()
-	hits, misses, entries := c.cache.Stats()
-
-	w.Header().Set("Content-Type", obs.PromContentType)
-	p := &obs.PromWriter{W: w}
-	p.Gauge("mdwd_up_seconds", "Seconds since the coordinator started.", time.Since(c.start).Seconds())
 	p.Gauge("mdwd_coordinator", "1 on a cluster coordinator (0 or absent on a worker daemon).", 1)
 	p.Gauge("mdwd_peers", "Cluster members on the hash ring, healthy or not.", float64(len(views)))
 	p.Gauge("mdwd_peers_healthy", "Cluster members currently passing health probes.", float64(c.peers.HealthyCount()))
 	p.Gauge("mdwd_shards_inflight", "Shards currently dispatched and unresolved.", float64(c.shardsInflight.Load()))
 	p.Counter("mdwd_shard_hedges_total", "Hedge attempts raced against straggler shards.", float64(c.hedges.Load()))
 	p.Counter("mdwd_shard_migrations_total", "Shards migrated off a dead or rejecting peer.", float64(c.migrations.Load()))
-	p.Counter("mdwd_cache_hits", "Merged-result cache hits.", float64(hits))
-	p.Counter("mdwd_cache_misses", "Merged-result cache misses.", float64(misses))
-	p.Gauge("mdwd_cache_entries", "Merged-result cache entries resident in memory.", float64(entries))
-	if c.journal != nil {
-		p.Gauge("mdwd_journal_bytes", "Size of the coordinator's job journal.", float64(c.journal.Size()))
-	}
 
 	healthy := make([]obs.LabeledSample, 0, len(views))
 	inflight := make([]obs.LabeledSample, 0, len(views))
@@ -60,34 +43,4 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.LabeledGauge("mdwd_peer_shards_dispatched", "Shards dispatched to the peer over the coordinator's lifetime.", dispatched)
 	p.LabeledGauge("mdwd_peer_breaker_state", "Per-peer circuit-breaker state (0 closed, 1 open, 2 half-open).", brState)
 	p.LabeledGauge("mdwd_peer_breaker_opens_total", "Circuit-breaker trips per peer over the coordinator's lifetime.", brOpens)
-
-	// Per-tenant front-door accounting, multi-tenant mode only (the
-	// single-tenant exposition stays byte-compatible).
-	if ts := c.cfg.Tenants; ts != nil {
-		c.tmu.Lock()
-		counters := make(map[string]tenantCounters, len(c.tenantsSeen))
-		for name, tc := range c.tenantsSeen {
-			counters[name] = *tc
-		}
-		c.tmu.Unlock()
-		tenants := ts.Tenants()
-		sample := func(get func(tc tenantCounters) float64) []obs.LabeledSample {
-			out := make([]obs.LabeledSample, 0, len(tenants))
-			for _, t := range tenants {
-				out = append(out, obs.LabeledSample{
-					Labels: [][2]string{{"tenant", t.Name}},
-					Value:  get(counters[t.Name]),
-				})
-			}
-			return out
-		}
-		p.LabeledGauge("mdwd_tenant_runs_total", "Run requests accepted per tenant.",
-			sample(func(tc tenantCounters) float64 { return float64(tc.runs) }))
-		p.LabeledGauge("mdwd_tenant_experiments_total", "Experiment requests accepted per tenant.",
-			sample(func(tc tenantCounters) float64 { return float64(tc.experiments) }))
-		p.LabeledGauge("mdwd_tenant_cache_hits", "Merged-result cache hits per tenant.",
-			sample(func(tc tenantCounters) float64 { return float64(tc.hits) }))
-		p.LabeledGauge("mdwd_tenant_cache_misses", "Merged-result cache misses per tenant.",
-			sample(func(tc tenantCounters) float64 { return float64(tc.misses) }))
-	}
 }

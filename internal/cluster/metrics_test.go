@@ -43,6 +43,7 @@ func TestClusterMetricsFormat(t *testing.T) {
 
 	values := map[string]float64{} // name or name{labels} -> value
 	helped := map[string]bool{}
+	histograms := map[string]bool{}
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		line := sc.Text()
@@ -56,6 +57,9 @@ func TestClusterMetricsFormat(t *testing.T) {
 				continue
 			}
 			helped[f[2]] = true
+			if f[1] == "TYPE" && f[3] == "histogram" {
+				histograms[f[2]] = true
+			}
 			continue
 		}
 		m := promSample.FindStringSubmatch(line)
@@ -73,7 +77,14 @@ func TestClusterMetricsFormat(t *testing.T) {
 			continue
 		}
 		values[m[1]+m[2]] = v
-		if !helped[m[1]] {
+		// Histograms declare the base name; samples append _bucket/_sum/_count.
+		base := m[1]
+		for _, suf := range []string{"_bucket", "_sum", "_count"} {
+			if histograms[strings.TrimSuffix(m[1], suf)] {
+				base = strings.TrimSuffix(m[1], suf)
+			}
+		}
+		if !helped[base] {
 			t.Errorf("sample %q has no preceding HELP/TYPE header", m[1])
 		}
 	}

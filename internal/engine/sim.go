@@ -38,9 +38,9 @@ type NextWaker interface {
 // its limit while components still held work — either a genuine protocol
 // deadlock or a model bug. It lists the stuck components.
 type DeadlockError struct {
-	Cycle int64
-	Limit int64
-	Stuck []string
+	Cycle int64    `json:"cycle"`
+	Limit int64    `json:"limit"`
+	Stuck []string `json:"stuck"`
 }
 
 // Error formats the deadlock report.

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"mdworm/internal/ckpt"
 )
 
 // Cache is the content-addressed result store: an in-memory LRU over exact
@@ -21,6 +23,9 @@ type Cache struct {
 	dir     string
 	entries map[string]*list.Element
 	order   *list.List // front = most recently used
+	// writing holds the keys whose durable disk write is in flight: their
+	// file may already be renamed into place but is not yet a hit.
+	writing map[string]bool
 
 	hits, misses int64
 }
@@ -47,6 +52,7 @@ func NewCache(max int, dir string) (*Cache, error) {
 		dir:     dir,
 		entries: make(map[string]*list.Element),
 		order:   list.New(),
+		writing: make(map[string]bool),
 	}, nil
 }
 
@@ -61,7 +67,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		c.hits++
 		return el.Value.(*cacheEntry).val, true
 	}
-	if c.dir != "" && validKey(key) {
+	if c.dir != "" && validKey(key) && !c.writing[key] {
 		if b, err := os.ReadFile(c.path(key)); err == nil {
 			c.insert(key, b)
 			c.hits++
@@ -74,30 +80,31 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 
 // Put stores the bytes for key, evicting the least recently used in-memory
 // entry beyond the bound and writing through to disk when persistence is on.
+// The disk write runs outside the lock and before the entry becomes
+// visible, so lookups never wait on an fsync.
 func (c *Cache) Put(key string, val []byte) {
 	c.mu.Lock()
+	persist := c.entries[key] == nil && c.dir != "" && validKey(key) && !c.writing[key]
+	if persist {
+		c.writing[key] = true
+	}
+	c.mu.Unlock()
+	if persist {
+		// Durable atomic publish so concurrent readers never see a torn
+		// file; persistence is best-effort and never fails a request.
+		ckpt.WriteFile(c.path(key), val)
+	}
+	c.mu.Lock()
 	defer c.mu.Unlock()
+	if persist {
+		delete(c.writing, key)
+	}
 	if el, ok := c.entries[key]; ok {
 		// Determinism makes re-puts byte-identical; keep the first.
 		c.order.MoveToFront(el)
 		return
 	}
 	c.insert(key, val)
-	if c.dir != "" && validKey(key) {
-		// Atomic publish so concurrent readers never see a torn file;
-		// persistence is best-effort and never fails a request.
-		tmp, err := os.CreateTemp(c.dir, "put-*")
-		if err != nil {
-			return
-		}
-		name := tmp.Name()
-		if _, err := tmp.Write(val); err == nil && tmp.Close() == nil {
-			os.Rename(name, c.path(key))
-		} else {
-			tmp.Close()
-			os.Remove(name)
-		}
-	}
 }
 
 // insert adds to the in-memory LRU, evicting beyond the bound. Caller locks.

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"mdworm/internal/ckpt"
 )
 
 // The job journal is mdwd's write-ahead log: one append-only ndjson file
@@ -38,14 +40,13 @@ const (
 	recFailed     = "failed"
 )
 
-// Exported record kinds, for the cluster coordinator (internal/cluster),
-// which journals through the same machinery: the standard lifecycle kinds
-// plus RecShard, a dispatch-audit record ReplayJournal deliberately skips
-// (shard dispatches are not pending jobs — the job-level accepted record
-// already carries recoverability).
+// Exported record kinds, for journal writers outside this package: the
+// standard lifecycle kinds plus RecShard, the cluster coordinator's
+// dispatch-audit record, which ReplayJournal deliberately skips (shard
+// dispatches are not pending jobs — the job-level accepted record already
+// carries recoverability).
 const (
 	RecAccepted = recAccepted
-	RecRunning  = recRunning
 	RecDone     = recDone
 	RecFailed   = recFailed
 	RecShard    = "shard"
@@ -157,6 +158,16 @@ func (j *Journal) Append(rec JournalRec) error {
 	return nil
 }
 
+// Record appends rec and drops any error: the journal is durability for
+// restarts, not a correctness dependency of a running daemon, so a failed
+// append never fails a request. A nil journal (no cache directory) drops
+// the record.
+func (j *Journal) Record(rec JournalRec) {
+	if j != nil {
+		_ = j.Append(rec)
+	}
+}
+
 // track advances the pending-state mirror for one appended record. Caller
 // holds the lock.
 func (j *Journal) track(rec JournalRec) {
@@ -191,25 +202,17 @@ func (j *Journal) track(rec JournalRec) {
 }
 
 // compactLocked rewrites the journal to exactly the records reconstructing
-// the pending jobs, atomically (write temp, fsync, rename, reopen). Caller
-// holds the lock. Best-effort: any failure keeps the current file.
+// the pending jobs, atomically (durable temp-file replace, then reopen).
+// Caller holds the lock. Best-effort: any failure keeps the current file.
 func (j *Journal) compactLocked() {
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, "journal-compact-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	fail := func() { tmp.Close(); os.Remove(name) }
-	var written int64
 	live := make([]string, 0, len(j.pending))
+	var buf []byte
 	for _, h := range j.order {
-		if _, ok := j.pending[h]; ok {
-			live = append(live, h)
+		p, ok := j.pending[h]
+		if !ok {
+			continue
 		}
-	}
-	for _, h := range live {
-		p := j.pending[h]
+		live = append(live, h)
 		recs := []JournalRec{p.accepted}
 		if p.checkpoint != nil {
 			recs = append(recs, *p.checkpoint)
@@ -217,28 +220,12 @@ func (j *Journal) compactLocked() {
 		for _, rec := range recs {
 			line, err := json.Marshal(rec)
 			if err != nil {
-				fail()
 				return
 			}
-			line = append(line, '\n')
-			n, err := tmp.Write(line)
-			if err != nil {
-				fail()
-				return
-			}
-			written += int64(n)
+			buf = append(append(buf, line...), '\n')
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		fail()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, j.path); err != nil {
-		os.Remove(name)
+	if ckpt.WriteFile(j.path, buf) != nil {
 		return
 	}
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -249,12 +236,15 @@ func (j *Journal) compactLocked() {
 	}
 	j.f.Close()
 	j.f = f
-	j.size = written
+	j.size = int64(len(buf))
 	j.order = live
 }
 
-// Size returns the journal file's current size in bytes.
+// Size returns the journal file's current size in bytes (0 for nil).
 func (j *Journal) Size() int64 {
+	if j == nil {
+		return 0
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.size
@@ -348,17 +338,7 @@ func ResetJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: journal dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, "journal-*")
-	if err != nil {
-		return nil, fmt.Errorf("service: journal reset: %w", err)
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return nil, fmt.Errorf("service: journal reset: %w", err)
-	}
-	if err := os.Rename(name, filepath.Join(dir, journalName)); err != nil {
-		os.Remove(name)
+	if err := ckpt.WriteFile(filepath.Join(dir, journalName), nil); err != nil {
 		return nil, fmt.Errorf("service: journal reset: %w", err)
 	}
 	return OpenJournal(dir)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -80,21 +81,24 @@ type Config struct {
 // Config.JournalMaxBytes is 0.
 const DefaultJournalMaxBytes = 8 << 20
 
-// Server is the mdwd HTTP daemon: request resolution, the content-addressed
-// cache, the job pool, and the metrics counters behind one http.Handler.
+// Server is mdwd's one HTTP front door: auth, admission, the job journal,
+// the content-addressed cache, stream ordering, error mapping, drain, health
+// and metrics behind one http.Handler, with execution handed to an Executor
+// (in process, or a cluster's fleet).
 type Server struct {
 	cfg     Config
+	exec    Executor
 	pool    *Pool
 	cache   *Cache
 	journal *Journal // nil without a cache directory
 	mux     *http.ServeMux
 	start   time.Time
 
-	// tcMu guards tcache, the per-tenant result-cache accounting (only
-	// populated in multi-tenant mode; the Cache itself stays tenant-blind —
-	// results are content-addressed and shared).
+	// tcMu guards tcount, the per-tenant request accounting (only populated
+	// in multi-tenant mode; the Cache itself stays tenant-blind — results
+	// are content-addressed and shared).
 	tcMu   sync.Mutex
-	tcache map[string]*tenantCacheStats
+	tcount map[string]*tenantCounters
 
 	// tenMu guards ten, the live tenant table. It starts as cfg.Tenants and
 	// is swapped whole by ReloadTenants (SIGHUP); requests resolve keys
@@ -131,11 +135,17 @@ func (s *Server) ReloadTenants(ts *TenantSet) error {
 	return nil
 }
 
-// tenantCacheStats counts one tenant's result-cache outcomes.
-type tenantCacheStats struct{ hits, misses int64 }
+// tenantCounters is one tenant's request accounting at the front door.
+type tenantCounters struct{ runs, experiments, hits, misses int64 }
 
-// New builds a server and starts its worker pool.
+// New builds a server that simulates in process and starts its worker pool.
 func New(cfg Config) (*Server, error) {
+	return NewWithExecutor(cfg, &local{dir: cfg.CacheDir, every: cfg.CheckpointEvery})
+}
+
+// NewWithExecutor builds a server that hands its jobs to exec, recovers the
+// cache directory's journal, and starts its worker pool.
+func NewWithExecutor(cfg Config, exec Executor) (*Server, error) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -151,19 +161,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:    cfg,
+		exec:   exec,
 		pool:   NewPool(cfg.Workers, cfg.Backlog),
 		cache:  cache,
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
-		tcache: make(map[string]*tenantCacheStats),
+		tcount: make(map[string]*tenantCounters),
 		ten:    cfg.Tenants,
 	}
 	s.pool.SetDeadline(cfg.JobDeadline)
 	s.pool.SetTenants(cfg.Tenants)
-	if cfg.CacheDir != "" {
-		if err := s.recover(); err != nil {
-			return nil, err
-		}
+	if err := s.recover(); err != nil {
+		return nil, err
 	}
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("POST /v1/experiment", s.handleExperiment)
@@ -173,6 +182,13 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/cluster/checkpoint/{hash}", s.handleCheckpoint)
+	if f, ok := exec.(Fleet); ok {
+		s.mux.HandleFunc("POST /v1/cluster/join", func(w http.ResponseWriter, r *http.Request) { s.handleJoin(w, r, f) })
+		s.mux.HandleFunc("GET /v1/cluster/status", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(f.Status())
+		})
+	}
 	return s, nil
 }
 
@@ -182,6 +198,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // BeginDrain flips the server into shutdown mode: new job-creating requests
 // are rejected with 503 while queued and running jobs continue.
 func (s *Server) BeginDrain() { s.pool.BeginDrain() }
+
+// Draining reports whether BeginDrain was called.
+func (s *Server) Draining() bool { return s.pool.Draining() }
 
 // Drain stops intake and waits up to timeout for in-flight jobs to finish.
 func (s *Server) Drain(timeout time.Duration) bool { return s.pool.Drain(timeout) }
@@ -199,6 +218,11 @@ type apiError struct {
 	// timeout), false for properties of the request itself (bad config,
 	// deadlock, exceeded cycle budget).
 	Retryable bool `json:"retryable,omitempty"`
+	// Deadlock (code "deadlock" only) is the watchdog's report, so a
+	// coordinator can rebuild the exact error its worker hit.
+	Deadlock *engine.DeadlockError `json:"deadlock,omitempty"`
+	// SimulatedCycles (failed runs only) is how far the run got.
+	SimulatedCycles int64 `json:"simulated_cycles,omitempty"`
 }
 
 func writeErr(w http.ResponseWriter, status int, e apiError) {
@@ -271,34 +295,20 @@ func (s *Server) writeUnauthorized(w http.ResponseWriter, msg string) {
 	writeErr(w, http.StatusUnauthorized, apiError{Code: "unauthorized", Message: msg})
 }
 
-// tenantCacheHit records one tenant's result-cache outcome (multi-tenant
-// mode only; the cache itself is shared and content-addressed).
-func (s *Server) tenantCacheHit(t *Tenant, hit bool) {
+// countTenant applies one accounting update for a tenant (multi-tenant mode
+// only).
+func (s *Server) countTenant(t *Tenant, f func(*tenantCounters)) {
 	if s.tenants() == nil {
 		return
 	}
 	s.tcMu.Lock()
 	defer s.tcMu.Unlock()
-	st := s.tcache[t.Name]
-	if st == nil {
-		st = &tenantCacheStats{}
-		s.tcache[t.Name] = st
+	tc := s.tcount[t.Name]
+	if tc == nil {
+		tc = &tenantCounters{}
+		s.tcount[t.Name] = tc
 	}
-	if hit {
-		st.hits++
-	} else {
-		st.misses++
-	}
-}
-
-// journalAppend records a job transition when journaling is on. Journal
-// failures must not fail requests: the journal is durability for restarts,
-// not a correctness dependency of the running daemon.
-func (s *Server) journalAppend(rec JournalRec) {
-	if s.journal == nil {
-		return
-	}
-	_ = s.journal.Append(rec)
+	f(tc)
 }
 
 // RunRequest is the body of POST /v1/run.
@@ -400,7 +410,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if body, ok := s.cache.Get(hash); ok {
-		s.tenantCacheHit(tn, true)
+		s.countTenant(tn, func(tc *tenantCounters) { tc.runs++; tc.hits++ })
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Mdwd-Cache", "hit")
 		w.Header().Set("X-Mdwd-Hash", hash)
@@ -408,7 +418,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		w.Write(body)
 		return
 	}
-	s.tenantCacheHit(tn, false)
+	s.countTenant(tn, func(tc *tenantCounters) { tc.runs++; tc.misses++ })
 
 	// Write-ahead: the job is journaled accepted (with its canonical config)
 	// before it is queued, so a crash at any later point can rebuild it.
@@ -417,19 +427,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, apiError{Code: "internal", Message: err.Error()})
 		return
 	}
-	s.journalAppend(JournalRec{Kind: recAccepted, Hash: hash, JobKind: "run", Tenant: tn.Name, Config: canonJSON})
+	s.journal.Record(JournalRec{Kind: recAccepted, Hash: hash, JobKind: "run", Tenant: tn.Name, Config: canonJSON})
 
 	var body []byte
-	resume := req.Resume
+	rj := RunJob{Hash: hash, Config: canon, Resume: req.Resume, DeadlineMillis: req.DeadlineMillis}
 	job, err := s.pool.SubmitTenant("run", hash, tn, func() (JobStats, error) {
-		b, st, err := s.executeRun(hash, canon, resume)
+		b, st, err := s.exec.Run(rj)
 		body = b
 		return st, err
 	})
 	if err != nil {
 		// The WAL entry must not outlive the rejection, or a restart would
 		// resurrect a job whose client was told to retry.
-		s.journalAppend(JournalRec{Kind: recFailed, Hash: hash, JobKind: "run", Tenant: tn.Name, Error: err.Error()})
+		s.journal.Record(JournalRec{Kind: recFailed, Hash: hash, JobKind: "run", Tenant: tn.Name, Error: err.Error()})
 		s.writeRejected(w, err, tn)
 		return
 	}
@@ -454,7 +464,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if v, _ := s.pool.Get(job.ID); v.State == JobFailed {
-		writeRunErr(w, job.ID, s.pool.Err(job.ID))
+		writeRunErr(w, job.ID, s.pool.Err(job.ID), v.Cycles)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -475,135 +485,34 @@ func BodySHA(body []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// checkpointPath returns where a run job's checkpoint blob lives; the hash
-// key is already restricted to hex (validKey), so it cannot escape the
-// cache directory.
-func (s *Server) checkpointPath(hash string) string {
-	return filepath.Join(s.cfg.CacheDir, hash+".ckpt")
-}
-
-// checkpointing reports whether run jobs snapshot their simulator mid-run.
-func (s *Server) checkpointing() bool {
-	return s.cfg.CheckpointEvery > 0 && s.journal != nil
-}
-
-// executeRun performs one run job: build a simulator (restoring from a
-// checkpoint blob when resume is non-empty), run it — checkpointed when
-// configured — and publish the response bytes to the cache. A corrupt,
-// missing, or mismatched checkpoint degrades to a scratch re-run: recovery
-// is never worse than not having checkpointed, and determinism makes the
-// result identical either way. The blob's embedded config must hash back to
-// this job's hash — a cluster coordinator attaches blobs across the network,
-// and a stale or misrouted blob must not silently compute a different
-// config's result under this hash.
-func (s *Server) executeRun(hash string, canon core.Config, resume []byte) ([]byte, JobStats, error) {
-	var sim *core.Simulator
-	if len(resume) > 0 {
-		if restored, err := core.Restore(resume); err == nil {
-			if h, _, err := Hash(restored.Config()); err == nil && h == hash {
-				sim = restored
-			}
-		}
-	}
-	if sim == nil {
-		fresh, err := core.New(canon)
-		if err != nil {
-			return nil, JobStats{}, err
-		}
-		sim = fresh
-	}
-
-	var res stats.Results
-	var err error
-	occupancy := 0
-	if s.checkpointing() {
-		// A snapshotting run carries no occupancy capture (Snapshot refuses
-		// attachments that live outside the checkpoint); durability wins
-		// over one /metrics histogram.
-		ckptFile := s.checkpointPath(hash)
-		res, err = sim.RunCheckpointed(s.cfg.CheckpointEvery, func(data []byte, cycle int64) error {
-			if werr := atomicWriteFile(ckptFile, data); werr != nil {
-				return nil // best-effort durability; the run itself continues
-			}
-			s.journalAppend(JournalRec{Kind: recCheckpoint, Hash: hash, JobKind: "run", File: ckptFile, Cycle: cycle})
-			return nil
-		})
-	} else {
-		// A coarse samples-only capture (no tracer) feeds the occupancy
-		// histogram of /metrics without perturbing the run.
-		occ := &obs.Capture{SampleEvery: 256}
-		sim.Observe(occ)
-		res, err = sim.Run()
-		occupancy = occ.Summary().PeakOccupancy()
-	}
-	st := JobStats{Points: 1, Cycles: sim.Now(), Violations: sim.Invariants().Total(), Occupancy: occupancy}
-	if err != nil {
-		return nil, st, err
-	}
-	b, err := json.Marshal(RunResponse{Hash: hash, Config: canon, Results: res, SimulatedCycles: sim.Now()})
-	if err != nil {
-		return nil, st, err
-	}
-	s.cache.Put(hash, b)
-	os.Remove(s.checkpointPath(hash)) // the published result supersedes any checkpoint
-	return b, st, nil
-}
-
-// atomicWriteFile publishes data at path via temp file, fsync, and rename,
-// so a crash mid-write never leaves a torn blob where a reader (or a
-// restarted daemon) expects a checkpoint.
-func atomicWriteFile(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
-}
-
 // recover replays the cache directory's journal, compacts it, and closes
 // out every job the previous process left behind: finished-but-unjournaled
 // runs are marked done (their result is in the cache), unfinished runs are
 // re-enqueued — from their last checkpoint when one survives, from scratch
-// otherwise — and unfinished experiments are failed, since their streaming
-// clients are gone and their points land in no cache. An accepted job is
-// therefore never silently lost, and a finished one never re-runs.
+// otherwise — and unfinished experiments go back to the executor, which
+// either re-resolves them headlessly or refuses (they are then failed). An
+// accepted job is therefore never silently lost, and a finished one never
+// re-runs. Without a cache directory it only attaches the executor.
 func (s *Server) recover() error {
-	pending, err := ReplayJournal(s.cfg.CacheDir)
-	if err != nil {
-		return err
+	var pending []PendingJob
+	if dir := s.cfg.CacheDir; dir != "" {
+		var err error
+		if pending, err = ReplayJournal(dir); err != nil {
+			return err
+		}
+		if s.journal, err = ResetJournal(dir); err != nil {
+			return err
+		}
+		switch {
+		case s.cfg.JournalMaxBytes > 0:
+			s.journal.SetMaxBytes(s.cfg.JournalMaxBytes)
+		case s.cfg.JournalMaxBytes == 0:
+			s.journal.SetMaxBytes(DefaultJournalMaxBytes)
+		}
 	}
-	j, err := ResetJournal(s.cfg.CacheDir)
-	if err != nil {
-		return err
-	}
-	s.journal = j
-	switch {
-	case s.cfg.JournalMaxBytes > 0:
-		j.SetMaxBytes(s.cfg.JournalMaxBytes)
-	case s.cfg.JournalMaxBytes == 0:
-		j.SetMaxBytes(DefaultJournalMaxBytes)
-	}
+	s.exec.Attach(s.journal, s.cache)
 	s.pool.onStart = func(job *Job) {
-		s.journalAppend(JournalRec{Kind: recRunning, Hash: job.Detail, JobKind: job.Kind, Tenant: job.Tenant})
+		s.journal.Record(JournalRec{Kind: recRunning, Hash: job.Detail, JobKind: job.Kind, Tenant: job.Tenant})
 	}
 	s.pool.onFinish = func(job *Job, jerr error) {
 		rec := JournalRec{Kind: recDone, Hash: job.Detail, JobKind: job.Kind, Tenant: job.Tenant}
@@ -611,38 +520,48 @@ func (s *Server) recover() error {
 			rec.Kind = recFailed
 			rec.Error = jerr.Error()
 		}
-		s.journalAppend(rec)
+		s.journal.Record(rec)
 	}
 
 	for _, p := range pending {
+		fail := func(msg string) {
+			s.journal.Record(JournalRec{Kind: recFailed, Hash: p.Hash, JobKind: p.JobKind, Error: msg})
+		}
 		switch {
 		case p.JobKind == "experiment":
-			s.journalAppend(JournalRec{Kind: recFailed, Hash: p.Hash, JobKind: p.JobKind,
-				Error: "interrupted by daemon restart"})
+			var req ExperimentRequest
+			json.Unmarshal(p.Config, &req) // legacy records carry no request
+			ctx, err := s.exec.SweepContext(nil, req)
+			if err != nil {
+				fail(err.Error())
+				continue
+			}
+			s.journal.Record(JournalRec{Kind: recAccepted, Hash: p.Hash, JobKind: "experiment", Tenant: p.Tenant, Config: p.Config})
+			s.pool.enqueueRecovered("experiment", p.Hash, p.Tenant, func() (JobStats, error) {
+				return s.sweep(ctx, req, func(StreamEvent) {})
+			})
 		case len(p.Config) == 0:
-			s.journalAppend(JournalRec{Kind: recFailed, Hash: p.Hash, JobKind: p.JobKind,
-				Error: "journal carries no configuration for this job"})
+			fail("journal carries no configuration for this job")
 		default:
 			if _, ok := s.cache.Get(p.Hash); ok {
 				// The run finished and published its result, but the crash
 				// beat the journal's done record; close it out.
-				s.journalAppend(JournalRec{Kind: recDone, Hash: p.Hash, JobKind: "run"})
+				s.journal.Record(JournalRec{Kind: recDone, Hash: p.Hash, JobKind: "run"})
 				continue
 			}
 			var canon core.Config
 			if err := json.Unmarshal(p.Config, &canon); err != nil {
-				s.journalAppend(JournalRec{Kind: recFailed, Hash: p.Hash, JobKind: "run",
-					Error: fmt.Sprintf("journaled config does not parse: %v", err)})
+				fail(fmt.Sprintf("journaled config does not parse: %v", err))
 				continue
 			}
-			s.journalAppend(JournalRec{Kind: recAccepted, Hash: p.Hash, JobKind: "run", Tenant: p.Tenant, Config: p.Config})
+			s.journal.Record(JournalRec{Kind: recAccepted, Hash: p.Hash, JobKind: "run", Tenant: p.Tenant, Config: p.Config})
 			hash, ckptFile := p.Hash, p.Checkpoint
 			s.pool.enqueueRecovered("run", hash, p.Tenant, func() (JobStats, error) {
 				var resume []byte
 				if ckptFile != "" {
 					resume, _ = os.ReadFile(ckptFile) // absent blob → scratch re-run
 				}
-				_, st, err := s.executeRun(hash, canon, resume)
+				_, st, err := s.exec.Run(RunJob{Hash: hash, Config: canon, Resume: resume})
 				return st, err
 			})
 		}
@@ -653,20 +572,45 @@ func (s *Server) recover() error {
 // writeRunErr maps a failed run job to a structured error: deadlocks and
 // invariant violations are properties of the requested configuration (422,
 // with their own codes, so fault studies can script against them); a
-// recovered panic is a server fault (500). Either way the job slot is free
-// again — failures never hang or poison the pool.
-func writeRunErr(w http.ResponseWriter, jobID string, err error) {
-	var de *engine.DeadlockError
+// recovered panic is a server fault (500); anything else is run_failed,
+// retryable when the executor marked it transient. Either way the job slot
+// is free again — failures never hang or poison the pool. cycles is how far
+// the failed run got.
+func writeRunErr(w http.ResponseWriter, jobID string, err error, cycles int64) {
+	e := apiError{Code: "run_failed", Message: fmt.Sprint(err), Job: jobID, SimulatedCycles: cycles,
+		Retryable: IsRetryable(err)}
+	status := http.StatusUnprocessableEntity
 	var ie *engine.InvariantError
 	switch {
-	case errors.As(err, &de):
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "deadlock", Message: err.Error(), Job: jobID})
+	case errors.As(err, &e.Deadlock):
+		e.Code = "deadlock"
 	case errors.As(err, &ie):
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "invariant_violation", Message: err.Error(), Job: jobID})
+		e.Code = "invariant_violation"
 	case errors.Is(err, ErrJobPanic):
-		writeErr(w, http.StatusInternalServerError, apiError{Code: "internal", Message: err.Error(), Job: jobID})
+		e.Code, status = "internal", http.StatusInternalServerError
+	}
+	writeErr(w, status, e)
+}
+
+// DecodeError reads a peer daemon's non-2xx /v1/run body back into the
+// error it reports and the simulated cycles the failed run reached. A
+// deadlock comes back as the *engine.DeadlockError the peer hit, so a
+// coordinator reports it exactly as an in-process run would; anything else
+// is the body's message, or the raw body truncated.
+func DecodeError(body []byte) (cycles int64, err error) {
+	var b struct {
+		Error apiError `json:"error"`
+	}
+	switch {
+	case json.Unmarshal(body, &b) != nil || b.Error.Message == "":
+		if len(body) > 200 {
+			body = body[:200]
+		}
+		return 0, errors.New(string(bytes.TrimSpace(body)))
+	case b.Error.Code == "deadlock" && b.Error.Deadlock != nil:
+		return b.Error.SimulatedCycles, b.Error.Deadlock
 	default:
-		writeErr(w, http.StatusUnprocessableEntity, apiError{Code: "run_failed", Message: fmt.Sprint(err), Job: jobID})
+		return b.Error.SimulatedCycles, errors.New(b.Error.Message)
 	}
 }
 
@@ -776,24 +720,27 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			Message: "after_seq must be >= 0"})
 		return
 	}
-	stream := req.Stream
-	if stream == "" {
-		stream = NewStreamToken()
+	if req.Stream == "" {
+		req.Stream = NewStreamToken()
 		req.AfterSeq = 0
 	}
 
 	// The worker goroutine runs the sweep and feeds events through a
-	// channel; this handler goroutine alone touches the ResponseWriter.
-	// The request context doubles as the sweep's context, so a client
-	// disconnect cancels pending points instead of simulating for nobody;
-	// a client deadline additionally bounds the sweep, and its expiry must
-	// still reach a connected client as an error event — hence the two
-	// contexts (emit escapes on client death only, never on deadline).
+	// channel; this handler goroutine alone touches the ResponseWriter. The
+	// executor picks the sweep's context: the client's (a disconnect cancels
+	// pending points) or its own (the sweep outlives the stream and lands in
+	// caches for the reconnect). A client deadline additionally bounds the
+	// sweep, and its expiry must still reach a connected client as an error
+	// event — so emit escapes on client death only, never on deadline.
 	clientCtx := r.Context()
-	sweepCtx := clientCtx
+	sweepCtx, err := s.exec.SweepContext(clientCtx, req)
+	if err != nil {
+		writeErr(w, http.StatusServiceUnavailable, apiError{Code: "unavailable", Message: err.Error(), Retryable: true})
+		return
+	}
 	if req.DeadlineMillis > 0 {
 		var cancel context.CancelFunc
-		sweepCtx, cancel = context.WithTimeout(clientCtx, time.Duration(req.DeadlineMillis)*time.Millisecond)
+		sweepCtx, cancel = context.WithTimeout(sweepCtx, time.Duration(req.DeadlineMillis)*time.Millisecond)
 		defer cancel()
 	}
 	events := make(chan StreamEvent, 64)
@@ -803,80 +750,31 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		case <-clientCtx.Done():
 		}
 	}
-	// Experiments are journaled too — not to re-run them (their stream dies
-	// with the client), but so a restart can report them failed instead of
-	// losing an accepted job without a trace.
-	s.journalAppend(JournalRec{Kind: recAccepted, Hash: req.ID, JobKind: "experiment", Tenant: tn.Name})
+	// Experiments are journaled with their full request, so a restart can
+	// hand them back to the executor — to re-resolve, or to report failed
+	// instead of losing an accepted job without a trace.
+	reqJSON, err := json.Marshal(req)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, apiError{Code: "internal", Message: err.Error()})
+		return
+	}
+	s.journal.Record(JournalRec{Kind: recAccepted, Hash: req.ID, JobKind: "experiment", Tenant: tn.Name, Config: reqJSON})
 	job, err := s.pool.SubmitTenant("experiment", req.ID, tn, func() (JobStats, error) {
 		defer close(events)
-		observer := &obs.SweepObserver{SampleEvery: 256}
-		// Points stream in planned table order (not completion order), so
-		// the event sequence is deterministic for any worker count — the
-		// property that makes both the seq resume cursor and cluster/
-		// single-node byte-identity work.
-		ro := NewReorder(nil, func(seq int64, ev experiments.PointEvent) {
-			if seq > 0 && seq <= req.AfterSeq {
-				return // the resuming client already consumed this point
-			}
-			out := StreamEvent{
-				Type: "point", Seq: seq, Tag: ev.Tag, X: ev.X,
-				McastLat: ev.McastLatency, UniLat: ev.UniLatency,
-				Throughput: ev.Throughput, Saturated: ev.Saturated,
-				Dropped: ev.DestsDropped, Violations: ev.Violations,
-				Cycles: ev.Cycles,
-			}
-			if ev.Err != nil {
-				out.Err = ev.Err.Error()
-			}
-			emit(out)
-		})
-		opts := experiments.Options{
-			Quick:    req.Quick,
-			Seed:     req.Seed,
-			Workers:  req.Workers,
-			Context:  sweepCtx,
-			Observer: observer,
-			OnPoint:  ro.Add,
-		}
-		ids := []string{req.ID}
-		emitErr := func(err error) {
-			retryable := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-			emit(StreamEvent{Type: "error", ID: req.ID, Err: err.Error(), Retryable: retryable})
-		}
-		tables, err := experiments.Plan(ids, opts)
-		if err != nil {
-			emitErr(err)
-			return JobStats{}, err
-		}
-		ro.Reindex(experiments.PlannedTags(tables))
-		st, err := experiments.Finish(ids, tables, opts)
-		ro.Flush()
-		jst := JobStats{Points: st.Points, Cycles: st.Cycles, Violations: st.Violations,
-			Occupancy: st.Occupancy.PeakOccupancy()}
-		if err != nil {
-			emitErr(err)
-			return jst, err
-		}
-		for _, t := range tables {
-			var buf strings.Builder
-			t.Format(&buf)
-			emit(StreamEvent{Type: "table", ID: t.ID, Text: buf.String()})
-		}
-		emit(StreamEvent{Type: "done", ID: req.ID, Points: st.Points,
-			Cycles: st.Cycles, WallSeconds: st.Wall.Seconds()})
-		return jst, nil
+		return s.sweep(sweepCtx, req, emit)
 	})
 	if err != nil {
-		s.journalAppend(JournalRec{Kind: recFailed, Hash: req.ID, JobKind: "experiment", Tenant: tn.Name, Error: err.Error()})
+		s.journal.Record(JournalRec{Kind: recFailed, Hash: req.ID, JobKind: "experiment", Tenant: tn.Name, Error: err.Error()})
 		s.writeRejected(w, err, tn)
 		return
 	}
+	s.countTenant(tn, func(tc *tenantCounters) { tc.experiments++ })
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Mdwd-Job", job.ID)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	enc.Encode(StreamEvent{Type: "start", ID: req.ID, Job: job.ID, Stream: stream})
+	enc.Encode(StreamEvent{Type: "start", ID: req.ID, Job: job.ID, Stream: req.Stream})
 	if flusher != nil {
 		flusher.Flush()
 	}
@@ -887,6 +785,61 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	<-job.Done()
+}
+
+// sweep runs one experiment through the executor and emits the stream after
+// "start": points in planned table order (not completion order, so the
+// sequence is deterministic for any worker or peer count — the property
+// behind both the seq resume cursor and cluster/single-node byte-identity),
+// minus those a resuming client already consumed; then the tables and
+// "done", or an "error".
+func (s *Server) sweep(ctx context.Context, req ExperimentRequest, emit func(StreamEvent)) (JobStats, error) {
+	ro := NewReorder(nil, func(seq int64, ev experiments.PointEvent) {
+		if seq > 0 && seq <= req.AfterSeq {
+			return
+		}
+		out := StreamEvent{
+			Type: "point", Seq: seq, Tag: ev.Tag, X: ev.X,
+			McastLat: ev.McastLatency, UniLat: ev.UniLatency,
+			Throughput: ev.Throughput, Saturated: ev.Saturated,
+			Dropped: ev.DestsDropped, Violations: ev.Violations,
+			Cycles: ev.Cycles,
+		}
+		if ev.Err != nil {
+			out.Err = ev.Err.Error()
+		}
+		emit(out)
+	})
+	opts := experiments.Options{Quick: req.Quick, Seed: req.Seed, Context: ctx, OnPoint: ro.Add}
+	s.exec.Sweep(req, &opts)
+	ids := []string{req.ID}
+	emitErr := func(err error) {
+		emit(StreamEvent{Type: "error", ID: req.ID, Err: err.Error(), Retryable: IsRetryable(err)})
+	}
+	tables, err := experiments.Plan(ids, opts)
+	if err != nil {
+		emitErr(err)
+		return JobStats{}, err
+	}
+	// Points only resolve during Finish, so installing the planned order
+	// here — between Plan and Finish — races nothing.
+	ro.Reindex(experiments.PlannedTags(tables))
+	st, err := experiments.Finish(ids, tables, opts)
+	ro.Flush()
+	jst := JobStats{Points: st.Points, Cycles: st.Cycles, Violations: st.Violations,
+		Occupancy: st.Occupancy.PeakOccupancy()}
+	if err != nil {
+		emitErr(err)
+		return jst, err
+	}
+	for _, t := range tables {
+		var buf strings.Builder
+		t.Format(&buf)
+		emit(StreamEvent{Type: "table", ID: t.ID, Text: buf.String()})
+	}
+	emit(StreamEvent{Type: "done", ID: req.ID, Points: st.Points,
+		Cycles: st.Cycles, WallSeconds: st.Wall.Seconds()})
+	return jst, nil
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
@@ -951,7 +904,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 			Message: "daemon runs without a cache directory"})
 		return
 	}
-	blob, err := os.ReadFile(s.checkpointPath(hash))
+	blob, err := os.ReadFile(filepath.Join(s.cfg.CacheDir, hash+".ckpt"))
 	if err != nil {
 		writeErr(w, http.StatusNotFound, apiError{Code: "no_checkpoint",
 			Message: fmt.Sprintf("no checkpoint for %s", hash)})
@@ -959,6 +912,36 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(blob)
+}
+
+// JoinRequest is the body of POST /v1/cluster/join.
+type JoinRequest struct {
+	// Peer is the joining worker's base URL as the coordinator should dial
+	// it.
+	Peer string `json:"peer"`
+}
+
+// JoinResponse acknowledges a join with the current membership.
+type JoinResponse struct {
+	Peers []string `json:"peers"`
+}
+
+// handleJoin adds a worker to the executor's fleet.
+func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request, f Fleet) {
+	var req JoinRequest
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_request", Message: err.Error()})
+		return
+	}
+	peers, err := f.Join(req.Peer)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, apiError{Code: "bad_peer", Message: err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(JoinResponse{Peers: peers})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -1020,6 +1003,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("mdwd_cycles_per_sec", "Simulated cycles per busy second.", cps)
 	p.Histogram("mdwd_job_seconds", "Job wall time in seconds.", jobSeconds)
 	p.Histogram("mdwd_run_occupancy", "Peak sampled buffer occupancy per job (CB chunks or IB flits).", runOccupancy)
+	if s.journal != nil {
+		p.Gauge("mdwd_journal_bytes", "Size of the job journal.", float64(s.journal.Size()))
+	}
+	s.exec.WriteMetrics(p)
 
 	// The mdwd_tenant_* families exist only in multi-tenant mode, keeping
 	// the single-tenant exposition byte-compatible with older daemons.
@@ -1048,9 +1035,9 @@ func (s *Server) writeTenantMetrics(p *obs.PromWriter) {
 		return out
 	}
 	s.tcMu.Lock()
-	cache := make(map[string]tenantCacheStats, len(s.tcache))
-	for name, st := range s.tcache {
-		cache[name] = *st
+	counts := make(map[string]tenantCounters, len(s.tcount))
+	for name, tc := range s.tcount {
+		counts[name] = *tc
 	}
 	s.tcMu.Unlock()
 
@@ -1072,8 +1059,12 @@ func (s *Server) writeTenantMetrics(p *obs.PromWriter) {
 		sample(func(_ *Tenant, st TenantStat) float64 { return float64(st.Cycles) }))
 	p.LabeledGauge("mdwd_tenant_busy_seconds", "In-job wall time per tenant.",
 		sample(func(_ *Tenant, st TenantStat) float64 { return st.Busy.Seconds() }))
+	p.LabeledGauge("mdwd_tenant_runs_total", "Run requests accepted per tenant.",
+		sample(func(t *Tenant, _ TenantStat) float64 { return float64(counts[t.Name].runs) }))
+	p.LabeledGauge("mdwd_tenant_experiments_total", "Experiment requests accepted per tenant.",
+		sample(func(t *Tenant, _ TenantStat) float64 { return float64(counts[t.Name].experiments) }))
 	p.LabeledGauge("mdwd_tenant_cache_hits", "Result-cache hits per tenant.",
-		sample(func(t *Tenant, _ TenantStat) float64 { return float64(cache[t.Name].hits) }))
+		sample(func(t *Tenant, _ TenantStat) float64 { return float64(counts[t.Name].hits) }))
 	p.LabeledGauge("mdwd_tenant_cache_misses", "Result-cache misses per tenant.",
-		sample(func(t *Tenant, _ TenantStat) float64 { return float64(cache[t.Name].misses) }))
+		sample(func(t *Tenant, _ TenantStat) float64 { return float64(counts[t.Name].misses) }))
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Chaos matrix: run the full cluster sweep (coordinator + 2 workers) under
+# Chaos matrix: run the cluster sweep of e1, e2 and a10 (coordinator + 2
+# workers; a10's deadlocking points exercise the error path) under
 # three seeded network-fault schedules — latency-only, partition-then-heal,
 # and a kill -9 + response-drop mix — and require each cluster output to be
 # byte-identical to an undisturbed single-node daemon's. This is the PR-10
@@ -42,7 +43,7 @@ wait_healthy() { # addr logfile
 singlepid=$!
 single=$(wait_addr "$singlepid" "$workdir/single.log")
 wait_healthy "$single" "$workdir/single.log"
-"$workdir/mdwbench" -daemon "http://$single" -exp e1,e2 -quick >"$workdir/ref.out"
+"$workdir/mdwbench" -daemon "http://$single" -exp e1,e2,a10 -quick >"$workdir/ref.out"
 kill -TERM "$singlepid"
 wait "$singlepid" 2>/dev/null || true
 
@@ -72,7 +73,7 @@ run_schedule() { # name spec seed kill|nokill
     wait_healthy "$coord" "$dir/coord.log"
     grep -q 'chaos enabled' "$dir/coord.log" || { echo "[$name] coordinator did not arm chaos:"; cat "$dir/coord.log"; return 1; }
 
-    "$workdir/mdwbench" -daemon "http://$coord" -exp e1,e2 -quick >"$dir/out" &
+    "$workdir/mdwbench" -daemon "http://$coord" -exp e1,e2,a10 -quick >"$dir/out" &
     benchpid=$!
     if [ "$killw" = kill ]; then
         sleep 0.4
