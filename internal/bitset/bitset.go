@@ -48,13 +48,13 @@ func (s Set) Clone() Set {
 // Add inserts i into the set. It panics if i is out of range.
 func (s Set) Add(i int) {
 	s.check(i)
-	s.words[i/wordBits] |= 1 << uint(i%wordBits)
+	s.words[uint(i)/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
 // Remove deletes i from the set. It panics if i is out of range.
 func (s Set) Remove(i int) {
 	s.check(i)
-	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
+	s.words[uint(i)/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
 // Has reports whether i is a member. Out-of-range values are never members.
@@ -65,10 +65,19 @@ func (s Set) Has(i int) bool {
 	return s.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
+// check panics with a rangeError unless i is in [0, Cap()). It is cheap
+// enough to keep Add and Remove inlinable: the message is formatted only
+// when the panic prints.
 func (s Set) check(i int) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, s.n))
+	if uint(i) >= uint(s.n) {
+		panic(rangeError{i, s.n})
 	}
+}
+
+type rangeError struct{ i, n int }
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("bitset: index %d out of range [0,%d)", e.i, e.n)
 }
 
 // Count returns the number of members.

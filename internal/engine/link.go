@@ -28,6 +28,8 @@ type Link struct {
 	activity *int64      // simulation activity counter
 	sim      *Simulation // owning kernel; nil for standalone links
 	recv     int32       // receiving component index, -1 if undeclared
+	markWord *uint64     // receiver's wire bitmap word Send marks; nil if unbound
+	markBit  uint64
 
 	capacity   int   // initial credit count, the overflow ceiling
 	failed     bool  // LinkDown fault: refuse new worms at the next boundary
@@ -176,6 +178,9 @@ func (l *Link) Send(now int64, r flit.Ref) {
 	}
 	l.inflight.push(timed[flit.Ref]{v: r, at: now + l.latency})
 	*l.activity++
+	if l.markWord != nil {
+		*l.markWord |= l.markBit
+	}
 	if l.recv >= 0 {
 		l.sim.noteSend(l.recv, now+l.latency)
 	}
@@ -234,6 +239,14 @@ func (l *Link) TakeArrived(now int64) flit.Ref {
 	l.lastTake = now
 	l.carried++
 	return r
+}
+
+// BindWireMark makes every Send set bit `bit` of *word. A receiver keeps a
+// bitmap of its input wires with flits in flight this way and probes only
+// those for arrivals; it clears a wire's bit itself once the wire is empty.
+func (l *Link) BindWireMark(word *uint64, bit int) {
+	l.markWord = word
+	l.markBit = 1 << uint(bit)
 }
 
 // ReturnCredit notifies the sender (after the link latency) that n slots of

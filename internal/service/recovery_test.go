@@ -104,6 +104,35 @@ func waitForCache(t *testing.T, s *Server, hash string) []byte {
 	return nil
 }
 
+// waitForJob waits until the pool's job for hash has finished. A job's done
+// channel closes only after the pool's finish hook has journaled its
+// terminal record, so the journal is complete for that job once this
+// returns; a result in the cache alone does not promise that.
+func waitForJob(t *testing.T, s *Server, hash string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		var job *Job
+		s.pool.mu.Lock()
+		for _, j := range s.pool.jobs {
+			if j.Detail == hash {
+				job = j
+			}
+		}
+		s.pool.mu.Unlock()
+		if job != nil {
+			select {
+			case <-job.Done():
+				return
+			case <-time.After(time.Until(deadline)):
+				t.Fatalf("job for %s never finished", hash)
+			}
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("no job for %s was enqueued", hash)
+}
+
 // readJournal returns the parsed records currently in a directory's journal.
 func readJournal(t *testing.T, dir string) []JournalRec {
 	t.Helper()
@@ -160,21 +189,14 @@ func TestRecoveryCompletesInterruptedRun(t *testing.T) {
 
 	// The compacted journal must show the job re-accepted and finished once —
 	// recovery neither loses nor double-reports it. The done record lands
-	// after the result is cached (durability before completion), so give the
-	// worker a moment to journal it.
-	var done int
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		done = 0
-		for _, rec := range readJournal(t, dir) {
-			if rec.Hash == hash && rec.Kind == recDone {
-				done++
-			}
+	// after the result is cached (durability before completion), so wait for
+	// the job itself before reading the journal.
+	waitForJob(t, s, hash)
+	done := 0
+	for _, rec := range readJournal(t, dir) {
+		if rec.Hash == hash && rec.Kind == recDone {
+			done++
 		}
-		if done == 1 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	if done != 1 {
 		t.Fatalf("journal reports %d done records for the recovered job, want 1", done)
@@ -469,6 +491,7 @@ func TestRecoveryPreservesTenantQueues(t *testing.T) {
 	hashes := map[string]string{"alpha": hashA, "beta": hashB, "ghost": hashC}
 	for _, hash := range hashes {
 		waitForCache(t, s, hash)
+		waitForJob(t, s, hash)
 	}
 
 	// Each recovered job landed in (and only in) its original tenant's queue.

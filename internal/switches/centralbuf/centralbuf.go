@@ -31,6 +31,7 @@ package centralbuf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mdworm/internal/bitset"
 	"mdworm/internal/engine"
@@ -242,6 +243,18 @@ type Switch struct {
 	pendingRes   [2][]*packetBuf // reservation queue per direction pool
 	livePB       int
 
+	// Port bitmaps, the switch's active sets: inBusy marks inputs that are
+	// not idle or hold flits, outBusy outputs that are not idle or hold a
+	// queued branch or flits, wires input links with flits in flight (set
+	// by Link.Send through BindWireMark). A bit is set on every transition
+	// into busy and cleared lazily by the port's own step once it finds the
+	// port idle, so each mask is a superset of the busy ports. The per-port
+	// loops walk the set bits word by word, in the order a full scan would
+	// visit the ports; no step sets a bit in the mask being walked, so a
+	// word read once per walk loses nothing. Derived state: never
+	// serialized; a restore sets every bit.
+	inBusy, outBusy, wires bitset.Set
+
 	stats Stats
 }
 
@@ -255,15 +268,23 @@ func New(cfg Config, node *topology.Switch, router *routing.Router, ports []swit
 		panic("centralbuf: port count mismatch")
 	}
 	s := &Switch{
-		cfg:    cfg,
-		node:   node,
-		router: router,
-		ports:  ports,
-		rng:    rng,
-		ids:    ids,
-		sim:    sim,
-		in:     make([]inputState, len(ports)),
-		out:    make([]outputState, len(ports)),
+		cfg:     cfg,
+		node:    node,
+		router:  router,
+		ports:   ports,
+		rng:     rng,
+		ids:     ids,
+		sim:     sim,
+		in:      make([]inputState, len(ports)),
+		out:     make([]outputState, len(ports)),
+		inBusy:  bitset.New(len(ports)),
+		outBusy: bitset.New(len(ports)),
+		wires:   bitset.New(len(ports)),
+	}
+	for i, pio := range ports {
+		if pio.In != nil {
+			pio.In.BindWireMark(&s.wires.Words()[i/64], i%64)
+		}
 	}
 	s.free[poolUp] = cfg.Chunks / 2
 	s.free[poolDown] = cfg.Chunks - cfg.Chunks/2
@@ -309,7 +330,9 @@ func (s *Switch) Occupancy() switches.Occupancy {
 // switch (the input FIFO capacity).
 func (s *Switch) InputCredits() int { return s.cfg.InFIFOFlits }
 
-// Quiesced reports whether the switch holds no flits or packet state.
+// Quiesced reports whether the switch holds no flits or packet state. Only
+// ports with a set bit can be busy, and after a step every set bit is a
+// busy port, so this returns at the first bit it visits.
 func (s *Switch) Quiesced() bool {
 	if s.livePB != 0 || len(s.pendingRes[poolUp]) != 0 || len(s.pendingRes[poolDown]) != 0 {
 		return false
@@ -317,17 +340,55 @@ func (s *Switch) Quiesced() bool {
 	if !s.tokenQuiesced() {
 		return false
 	}
-	for i := range s.in {
-		if s.in[i].mode != modeIdle || !s.in[i].q.Empty() {
-			return false
+	for w, word := range s.inBusy.Words() {
+		for ; word != 0; word &= word - 1 {
+			if !s.inputIdle(w<<6 | bits.TrailingZeros64(word)) {
+				return false
+			}
 		}
 	}
-	for o := range s.out {
-		if s.out[o].mode != outIdle || s.out[o].fifo.Len() != 0 || len(s.out[o].queue) != 0 {
-			return false
+	for w, word := range s.outBusy.Words() {
+		for ; word != 0; word &= word - 1 {
+			if !s.outputIdle(w<<6 | bits.TrailingZeros64(word)) {
+				return false
+			}
 		}
 	}
 	return true
+}
+
+// inputIdle reports whether input i has no worm in progress and no flits.
+func (s *Switch) inputIdle(i int) bool {
+	return s.in[i].mode == modeIdle && s.in[i].q.Empty()
+}
+
+// outputIdle reports whether output o serves nothing, has no queued branch
+// and holds no flits.
+func (s *Switch) outputIdle(o int) bool {
+	st := &s.out[o]
+	return st.mode == outIdle && len(st.queue) == 0 && st.fifo.Len() == 0
+}
+
+// CheckPortMasks verifies the port bitmaps against the state they summarize:
+// every port whose bit is clear is idle, and every input link with flits on
+// the wire has its wire bit set. It is the soundness oracle tests run
+// between steps.
+func (s *Switch) CheckPortMasks() error {
+	for i := range s.in {
+		if !s.inBusy.Has(i) && !s.inputIdle(i) {
+			return fmt.Errorf("%s: input %d busy (mode %d, %d flits) with its bit clear",
+				s.Name(), i, s.in[i].mode, s.in[i].q.Len())
+		}
+		if !s.outBusy.Has(i) && !s.outputIdle(i) {
+			return fmt.Errorf("%s: output %d busy (mode %d, %d queued, %d flits) with its bit clear",
+				s.Name(), i, s.out[i].mode, len(s.out[i].queue), s.out[i].fifo.Len())
+		}
+		if l := s.ports[i].In; l != nil && l.InFlight() > 0 && !s.wires.Has(i) {
+			return fmt.Errorf("%s: input link %s has %d flits in flight with its wire bit clear",
+				s.Name(), l.Name(), l.InFlight())
+		}
+	}
+	return nil
 }
 
 // Step advances the switch one cycle: outputs drain to links and pull from
@@ -369,19 +430,23 @@ func (s *Switch) checkChunkConservation(now int64) {
 }
 
 func (s *Switch) stepOutputsDrain(now int64) {
-	for o := range s.out {
-		st := &s.out[o]
-		out := s.ports[o].Out
-		if st.fifo.Len() == 0 || out == nil {
-			continue
-		}
-		if out.CanSend(now) {
-			out.Send(now, st.fifo.Pop())
-			s.stats.FlitsOut++
-		} else if out.Dead() && !out.MidWorm() && st.fifo.Front().Head() {
-			// The head worm never started transmission and never will;
-			// discard it at this clean boundary instead of wedging.
-			s.discardOutput(o, now)
+	for w, word := range s.outBusy.Words() {
+		for ; word != 0; word &= word - 1 {
+			o := w<<6 | bits.TrailingZeros64(word)
+			st := &s.out[o]
+			out := s.ports[o].Out
+			if st.fifo.Len() == 0 || out == nil {
+				continue
+			}
+			if out.CanSend(now) {
+				out.Send(now, st.fifo.Pop())
+				s.stats.FlitsOut++
+			} else if out.Dead() && !out.MidWorm() && st.fifo.Front().Head() {
+				// The head worm never started transmission and never
+				// will; discard it at this clean boundary instead of
+				// wedging.
+				s.discardOutput(o, now)
+			}
 		}
 	}
 }
@@ -456,43 +521,58 @@ func (s *Switch) reportDrop(now int64, w *flit.Worm, dropped bitset.Set) {
 	s.sim.Progress()
 }
 
+// stepOutputsServe starts queued central-buffer branches and reads one flit
+// per serving output. It is the last output pass of the cycle, so it clears
+// the bits of outputs it leaves idle.
 func (s *Switch) stepOutputsServe(now int64) {
-	for o := range s.out {
-		st := &s.out[o]
-		if st.mode == outIdle {
-			out := s.ports[o].Out
-			for len(st.queue) > 0 {
-				b := st.queue[0]
-				if out != nil && out.Dead() {
-					// The branch can never be transmitted; account the
-					// drop and release its hold on the packet.
-					st.queue = st.queue[1:]
-					s.reportDrop(now, b.child, b.child.Dests)
-					b.read = b.pb.total
-					s.advanceFreeing(b.pb, now)
-					continue
-				}
-				st.cur = b
-				st.queue = st.queue[1:]
-				st.mode = outCB
-				break
+	for w, word := range s.outBusy.Words() {
+		for ; word != 0; word &= word - 1 {
+			o := w<<6 | bits.TrailingZeros64(word)
+			s.serveOutput(o, now)
+			if s.outputIdle(o) {
+				s.outBusy.Remove(o)
 			}
 		}
-		if st.mode != outCB {
-			continue
+	}
+}
+
+// serveOutput starts output o's next queued branch when it is idle and
+// reads one central-buffer flit of the branch it serves.
+func (s *Switch) serveOutput(o int, now int64) {
+	st := &s.out[o]
+	if st.mode == outIdle {
+		out := s.ports[o].Out
+		for len(st.queue) > 0 {
+			b := st.queue[0]
+			if out != nil && out.Dead() {
+				// The branch can never be transmitted; account the
+				// drop and release its hold on the packet.
+				st.queue = st.queue[1:]
+				s.reportDrop(now, b.child, b.child.Dests)
+				b.read = b.pb.total
+				s.advanceFreeing(b.pb, now)
+				continue
+			}
+			st.cur = b
+			st.queue = st.queue[1:]
+			st.mode = outCB
+			break
 		}
-		b := st.cur
-		if s.rdBudget == 0 || st.fifo.Len() >= s.cfg.OutFIFOFlits || b.read >= b.pb.written {
-			continue
-		}
-		s.rdBudget--
-		st.fifo.Push(flit.Ref{W: b.child, Idx: b.read})
-		b.read++
-		s.advanceFreeing(b.pb, now)
-		if b.read == b.pb.total {
-			st.cur = nil
-			st.mode = outIdle
-		}
+	}
+	if st.mode != outCB {
+		return
+	}
+	b := st.cur
+	if s.rdBudget == 0 || st.fifo.Len() >= s.cfg.OutFIFOFlits || b.read >= b.pb.written {
+		return
+	}
+	s.rdBudget--
+	st.fifo.Push(flit.Ref{W: b.child, Idx: b.read})
+	b.read++
+	s.advanceFreeing(b.pb, now)
+	if b.read == b.pb.total {
+		st.cur = nil
+		st.mode = outIdle
 	}
 }
 
@@ -602,6 +682,7 @@ func (s *Switch) accrueReservations(now int64) {
 func (s *Switch) admit(pb *packetBuf, now int64) {
 	for _, b := range pb.branches {
 		s.out[b.out].queue = append(s.out[b.out].queue, b)
+		s.outBusy.Add(b.out)
 	}
 	in := &s.in[pb.input]
 	in.mode = modeWrite
@@ -622,14 +703,35 @@ func (s *Switch) admit(pb *packetBuf, now int64) {
 }
 
 func (s *Switch) stepInputs(now int64) {
-	n := len(s.in)
 	// The service origin rotates one slot per cycle. It is derived from the
 	// clock (not a stored counter) so that cycles the active-set scheduler
 	// skips — during which the stored counter could not advance — leave the
-	// arbitration sequence bit-identical to an always-stepped switch.
-	off := int((now + 1) % int64(n))
-	for k := 0; k < n; k++ {
-		s.stepInput((off+k)%n, now)
+	// arbitration sequence bit-identical to an always-stepped switch. The
+	// walk visits the busy inputs in the full scan's order: off..n-1 (flip
+	// 0 keeps the bits fromBit selects), then 0..off-1 (flip inverts them).
+	off := int((now + 1) % int64(len(s.in)))
+	for _, flip := range [2]uint64{0, ^uint64(0)} {
+		for w, word := range s.inBusy.Words() {
+			for word &= fromBit(w, off) ^ flip; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				s.stepInput(i, now)
+				if s.inputIdle(i) {
+					s.inBusy.Remove(i)
+				}
+			}
+		}
+	}
+}
+
+// fromBit returns the bits of bitmap word w that stand for ports >= off.
+func fromBit(w, off int) uint64 {
+	switch sh := off - w<<6; {
+	case sh <= 0:
+		return ^uint64(0)
+	case sh >= 64:
+		return 0
+	default:
+		return ^uint64(0) << uint(sh)
 	}
 }
 
@@ -751,6 +853,7 @@ func (s *Switch) decode(i int, now int64) {
 		if s.out[o].mode == outIdle && len(s.out[o].queue) == 0 {
 			s.out[o].mode = outBypass
 			s.out[o].boundIn = i
+			s.outBusy.Add(o)
 			in.bypassOut = o
 			in.mode = modeBypass
 			s.pushBypass(i, now)
@@ -869,18 +972,25 @@ func (s *Switch) clearInput(in *inputState) {
 	in.bypassOut = -1
 }
 
+// acceptArrivals takes at most one arrived flit per input wire, probing
+// only wires with flits in flight and clearing the bits of wires it empties.
 func (s *Switch) acceptArrivals(now int64) {
-	for i := range s.in {
-		if s.ports[i].In == nil {
-			continue
-		}
-		if _, ok := s.ports[i].In.Arrived(now); ok {
-			r := s.ports[i].In.TakeArrived(now)
-			if s.in[i].q.Len() >= s.cfg.InFIFOFlits {
-				panic(fmt.Sprintf("%s: input %d FIFO overflow (credit protocol violated)", s.Name(), i))
+	for w, word := range s.wires.Words() {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			l := s.ports[i].In
+			if _, ok := l.Arrived(now); ok {
+				r := l.TakeArrived(now)
+				if s.in[i].q.Len() >= s.cfg.InFIFOFlits {
+					panic(fmt.Sprintf("%s: input %d FIFO overflow (credit protocol violated)", s.Name(), i))
+				}
+				s.in[i].q.Push(r)
+				s.inBusy.Add(i)
+				s.stats.FlitsIn++
 			}
-			s.in[i].q.Push(r)
-			s.stats.FlitsIn++
+			if l.InFlight() == 0 {
+				s.wires.Remove(i)
+			}
 		}
 	}
 }

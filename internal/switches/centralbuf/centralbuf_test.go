@@ -463,3 +463,18 @@ func TestBarrierCombiningWaitsForAll(t *testing.T) {
 		}
 	}
 }
+
+// TestFromBit checks the word masks behind the clock-rotated input walk: bit
+// b of word w is kept exactly when port 64w+b is at or after the origin.
+func TestFromBit(t *testing.T) {
+	for w := 0; w < 3; w++ {
+		for off := 0; off <= 200; off++ {
+			got := fromBit(w, off)
+			for b := 0; b < 64; b++ {
+				if want := w*64+b >= off; (got>>uint(b)&1 == 1) != want {
+					t.Fatalf("fromBit(%d, %d) bit %d = %v, want %v", w, off, b, !want, want)
+				}
+			}
+		}
+	}
+}

@@ -111,6 +111,7 @@ func (s *Switch) drainTokens() {
 			(st.fifo.Len() == 0 || st.fifo.Last().Tail())
 		if boundary && st.fifo.Len() < s.cfg.OutFIFOFlits {
 			st.fifo.Push(flit.Ref{W: pt.worm, Idx: 0})
+			s.outBusy.Add(pt.port)
 			s.stats.TokensEmitted++
 			s.sim.Progress()
 			continue

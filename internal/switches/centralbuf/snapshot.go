@@ -8,10 +8,11 @@ import (
 // Checkpoint support. The switch's mutable state is its input pipelines,
 // output services, the central-buffer packet table with its refcounted
 // branches, the direction pools, barrier combining, counters, and the
-// per-switch RNG position. packetBuf and cbBranch form a shared-pointer
-// graph (an output's cur/queue aliases the branches of a packet an input
-// may still be writing), so packets are encoded once in a deterministic
-// table and every other site refers to (packet index, branch index) pairs.
+// per-switch RNG position (the port bitmaps are rebuilt, not stored).
+// packetBuf and cbBranch form a shared-pointer graph (an output's cur/queue
+// aliases the branches of a packet an input may still be writing), so
+// packets are encoded once in a deterministic table and every other site
+// refers to (packet index, branch index) pairs.
 
 // livePackets enumerates every reachable packetBuf in deterministic order:
 // input writers first (ascending input index), then the reservation queues,
@@ -220,6 +221,16 @@ func (s *Switch) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 
 // DecodeState restores the switch over a freshly constructed twin.
 func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
+	// The port bitmaps are derived state: mark every port and wired input
+	// busy, a superset of whatever decodes below; the first step clears
+	// the idle ones.
+	for i := range s.in {
+		s.inBusy.Add(i)
+		s.outBusy.Add(i)
+		if s.ports[i].In != nil {
+			s.wires.Add(i)
+		}
+	}
 	npb := d.Count(8)
 	pbs := make([]*packetBuf, 0, npb)
 	for i := 0; i < npb && d.Err() == nil; i++ {

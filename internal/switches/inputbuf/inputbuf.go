@@ -18,6 +18,7 @@ package inputbuf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mdworm/internal/bitset"
 	"mdworm/internal/engine"
@@ -141,6 +142,19 @@ type Switch struct {
 	// every branch list every cycle.
 	reqBits []uint64
 
+	// Port bitmaps, the switch's active sets: inBusy marks inputs that are
+	// not idle or hold worms, wires input links with flits in flight (set
+	// by Link.Send through BindWireMark), outBusy outputs bound to a
+	// branch. An input or wire bit is set on every transition into busy
+	// and cleared lazily by the port's own step once it finds the port
+	// idle, so those masks are supersets of the busy ports; an output bit
+	// is set on grant and cleared on release, so it is exact. The per-port
+	// loops walk the set bits word by word, in the order a full scan would
+	// visit the ports; no step sets a bit in the mask being walked, so a
+	// word read once per walk loses nothing. Derived state: never
+	// serialized (see DecodeState).
+	inBusy, outBusy, wires bitset.Set
+
 	// Barrier combining state (see combine.go).
 	combineCount int
 	expected     int
@@ -170,9 +184,17 @@ func New(cfg Config, node *topology.Switch, router *routing.Router, ports []swit
 		in:      make([]inputState, len(ports)),
 		out:     make([]outputState, len(ports)),
 		reqBits: make([]uint64, len(ports)),
+		inBusy:  bitset.New(len(ports)),
+		outBusy: bitset.New(len(ports)),
+		wires:   bitset.New(len(ports)),
 	}
 	for o := range s.out {
 		s.out[o].arb = switches.NewRoundRobin(len(ports))
+	}
+	for i, pio := range ports {
+		if pio.In != nil {
+			pio.In.BindWireMark(&s.wires.Words()[i/64], i%64)
+		}
 	}
 	return s
 }
@@ -203,22 +225,60 @@ func (s *Switch) Occupancy() switches.Occupancy {
 // switch (the input buffer capacity).
 func (s *Switch) InputCredits() int { return s.cfg.BufFlits }
 
-// Quiesced reports whether the switch holds no flits or packet state.
+// Quiesced reports whether the switch holds no flits or packet state. Only
+// ports with a set bit can be busy, and after a step every set bit is a
+// busy port, so this returns at the first bit it visits.
 func (s *Switch) Quiesced() bool {
-	if !s.tokenQuiesced() {
+	if !s.tokenQuiesced() || !s.outBusy.Empty() {
 		return false
 	}
-	for i := range s.in {
-		if len(s.in[i].queue) != 0 || s.in[i].mode != modeIdle {
-			return false
-		}
-	}
-	for o := range s.out {
-		if s.out[o].bound != nil {
-			return false
+	for w, word := range s.inBusy.Words() {
+		for ; word != 0; word &= word - 1 {
+			if !s.inputIdle(w<<6 | bits.TrailingZeros64(word)) {
+				return false
+			}
 		}
 	}
 	return true
+}
+
+// inputIdle reports whether input i has no head in progress and no worms.
+func (s *Switch) inputIdle(i int) bool {
+	return s.in[i].mode == modeIdle && len(s.in[i].queue) == 0
+}
+
+// bind grants output o to branch b.
+func (s *Switch) bind(o int, b *branch) {
+	s.out[o].bound = b
+	s.outBusy.Add(o)
+}
+
+// release frees output o.
+func (s *Switch) release(o int) {
+	s.out[o].bound = nil
+	s.outBusy.Remove(o)
+}
+
+// CheckPortMasks verifies the port bitmaps against the state they summarize:
+// every input whose bit is clear is idle, every output's bit matches its
+// binding, and every input link with flits on the wire has its wire bit
+// set. It is the soundness oracle tests run between steps.
+func (s *Switch) CheckPortMasks() error {
+	for i := range s.in {
+		if !s.inBusy.Has(i) && !s.inputIdle(i) {
+			return fmt.Errorf("%s: input %d busy (mode %d, %d worms) with its bit clear",
+				s.Name(), i, s.in[i].mode, len(s.in[i].queue))
+		}
+		if s.outBusy.Has(i) != (s.out[i].bound != nil) {
+			return fmt.Errorf("%s: output %d bit %v but bound=%v",
+				s.Name(), i, s.outBusy.Has(i), s.out[i].bound != nil)
+		}
+		if l := s.ports[i].In; l != nil && l.InFlight() > 0 && !s.wires.Has(i) {
+			return fmt.Errorf("%s: input link %s has %d flits in flight with its wire bit clear",
+				s.Name(), l.Name(), l.InFlight())
+		}
+	}
+	return nil
 }
 
 // Step advances the switch one cycle: bound branches forward flits,
@@ -237,27 +297,30 @@ func (s *Switch) Step(now int64) {
 // began sending; a branch that already sent its head finishes normally
 // (failure lands at worm boundaries, so flit conservation holds).
 func (s *Switch) dropDeadBranches(now int64) {
-	for i := range s.in {
-		in := &s.in[i]
-		if in.mode != modeActive {
-			continue
-		}
-		for _, b := range in.branches {
-			if b.done || b.sent > 0 {
+	for w, word := range s.inBusy.Words() {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			in := &s.in[i]
+			if in.mode != modeActive {
 				continue
 			}
-			out := s.ports[b.out].Out
-			if out == nil || !out.Dead() {
-				continue
-			}
-			s.reportDrop(now, b.child, b.child.Dests)
-			b.done = true
-			b.sent = in.queue[0].w.Len()
-			if b.granted && s.out[b.out].bound == b {
-				s.out[b.out].bound = nil
-			}
-			if !b.granted {
-				s.reqBits[b.out] &^= 1 << uint(i)
+			for _, b := range in.branches {
+				if b.done || b.sent > 0 {
+					continue
+				}
+				out := s.ports[b.out].Out
+				if out == nil || !out.Dead() {
+					continue
+				}
+				s.reportDrop(now, b.child, b.child.Dests)
+				b.done = true
+				b.sent = in.queue[0].w.Len()
+				if b.granted && s.out[b.out].bound == b {
+					s.release(b.out)
+				}
+				if !b.granted {
+					s.reqBits[b.out] &^= 1 << uint(i)
+				}
 			}
 		}
 	}
@@ -291,26 +354,25 @@ func (s *Switch) serveOutputs(now int64) {
 		s.finishHeads(now)
 		return
 	}
-	for o := range s.out {
-		st := &s.out[o]
-		b := st.bound
-		if b == nil {
-			continue
+	for w, word := range s.outBusy.Words() {
+		for ; word != 0; word &= word - 1 {
+			o := w<<6 | bits.TrailingZeros64(word)
+			b := s.out[o].bound
+			in := &s.in[b.in]
+			head := &in.queue[0]
+			if b.sent >= head.got || s.ports[o].Out == nil || !s.ports[o].Out.CanSend(now) {
+				continue
+			}
+			s.ports[o].Out.Send(now, flit.Ref{W: b.child, Idx: b.sent})
+			b.sent++
+			in.movedAt = now
+			s.stats.FlitsOut++
+			if b.sent == head.w.Len() {
+				b.done = true
+				s.release(o)
+			}
+			s.advanceFreeing(b.in, now)
 		}
-		in := &s.in[b.in]
-		head := &in.queue[0]
-		if b.sent >= head.got || s.ports[o].Out == nil || !s.ports[o].Out.CanSend(now) {
-			continue
-		}
-		s.ports[o].Out.Send(now, flit.Ref{W: b.child, Idx: b.sent})
-		b.sent++
-		in.movedAt = now
-		s.stats.FlitsOut++
-		if b.sent == head.w.Len() {
-			b.done = true
-			st.bound = nil
-		}
-		s.advanceFreeing(b.in, now)
 	}
 	s.finishHeads(now)
 }
@@ -318,40 +380,43 @@ func (s *Switch) serveOutputs(now int64) {
 // serveOutputsSync forwards flits with all branches of a head advancing in
 // lock-step (the feedback-coupled replication the paper rejects).
 func (s *Switch) serveOutputsSync(now int64) {
-	for i := range s.in {
-		in := &s.in[i]
-		if in.mode != modeActive || len(in.branches) == 0 {
-			continue
-		}
-		head := &in.queue[0]
-		ready := true
-		for _, b := range in.branches {
-			if b.done {
+	for w, word := range s.inBusy.Words() {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			in := &s.in[i]
+			if in.mode != modeActive || len(in.branches) == 0 {
 				continue
 			}
-			if !b.granted || b.sent >= head.got ||
-				s.ports[b.out].Out == nil || !s.ports[b.out].Out.CanSend(now) {
-				ready = false
-				break
+			head := &in.queue[0]
+			ready := true
+			for _, b := range in.branches {
+				if b.done {
+					continue
+				}
+				if !b.granted || b.sent >= head.got ||
+					s.ports[b.out].Out == nil || !s.ports[b.out].Out.CanSend(now) {
+					ready = false
+					break
+				}
 			}
-		}
-		if !ready {
-			continue
-		}
-		for _, b := range in.branches {
-			if b.done {
+			if !ready {
 				continue
 			}
-			s.ports[b.out].Out.Send(now, flit.Ref{W: b.child, Idx: b.sent})
-			b.sent++
-			s.stats.FlitsOut++
-			if b.sent == head.w.Len() {
-				b.done = true
-				s.out[b.out].bound = nil
+			for _, b := range in.branches {
+				if b.done {
+					continue
+				}
+				s.ports[b.out].Out.Send(now, flit.Ref{W: b.child, Idx: b.sent})
+				b.sent++
+				s.stats.FlitsOut++
+				if b.sent == head.w.Len() {
+					b.done = true
+					s.release(b.out)
+				}
 			}
+			in.movedAt = now
+			s.advanceFreeing(i, now)
 		}
-		in.movedAt = now
-		s.advanceFreeing(i, now)
 	}
 }
 
@@ -382,45 +447,48 @@ func (s *Switch) advanceFreeing(i int, now int64) {
 
 // finishHeads pops head worms whose branches are all done.
 func (s *Switch) finishHeads(now int64) {
-	for i := range s.in {
-		in := &s.in[i]
-		if in.mode != modeActive || len(in.branches) == 0 {
-			continue
-		}
-		alldone := true
-		for _, b := range in.branches {
-			if !b.done {
-				alldone = false
-				break
+	for w, word := range s.inBusy.Words() {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			in := &s.in[i]
+			if in.mode != modeActive || len(in.branches) == 0 {
+				continue
 			}
-		}
-		if !alldone {
-			continue
-		}
-		head := &in.queue[0]
-		if head.got < head.w.Len() {
-			// Dropped branches outran arrival (fault path): keep freeing
-			// flits as they trickle in and pop once the tail arrives.
-			s.advanceFreeing(i, now)
-			continue
-		}
-		s.advanceFreeing(i, now)
-		if in.minSent != head.w.Len() {
-			s.sim.Invariants().Violate(now, "ib-occupancy",
-				"%s: popping head with %d/%d flits freed", s.Name(), in.minSent, head.w.Len())
-			if delta := head.w.Len() - in.minSent; delta > 0 {
-				in.occupancy -= delta
-				if in.occupancy < 0 {
-					in.occupancy = 0
+			alldone := true
+			for _, b := range in.branches {
+				if !b.done {
+					alldone = false
+					break
 				}
-				s.ports[i].In.ReturnCredit(now, delta)
 			}
+			if !alldone {
+				continue
+			}
+			head := &in.queue[0]
+			if head.got < head.w.Len() {
+				// Dropped branches outran arrival (fault path): keep freeing
+				// flits as they trickle in and pop once the tail arrives.
+				s.advanceFreeing(i, now)
+				continue
+			}
+			s.advanceFreeing(i, now)
+			if in.minSent != head.w.Len() {
+				s.sim.Invariants().Violate(now, "ib-occupancy",
+					"%s: popping head with %d/%d flits freed", s.Name(), in.minSent, head.w.Len())
+				if delta := head.w.Len() - in.minSent; delta > 0 {
+					in.occupancy -= delta
+					if in.occupancy < 0 {
+						in.occupancy = 0
+					}
+					s.ports[i].In.ReturnCredit(now, delta)
+				}
+			}
+			in.queue = in.queue[1:]
+			in.branches = nil
+			in.minSent = 0
+			in.mode = modeIdle
+			s.sim.Progress()
 		}
-		in.queue = in.queue[1:]
-		in.branches = nil
-		in.minSent = 0
-		in.mode = modeIdle
-		s.sim.Progress()
 	}
 }
 
@@ -444,7 +512,7 @@ func (s *Switch) arbitrate(now int64) {
 			if b.out == o && !b.granted && !b.done {
 				b.granted = true
 				s.reqBits[o] &^= 1 << uint(picked)
-				st.bound = b
+				s.bind(o, b)
 				s.stats.GrantWaitSum += now - b.reqAt
 				if s.sim.Tracing() {
 					s.sim.Emit(engine.TraceEvent{Kind: engine.TraceGrant, Actor: s.Name(),
@@ -458,55 +526,67 @@ func (s *Switch) arbitrate(now int64) {
 	}
 }
 
+// stepInputs advances every busy input and clears the bits of inputs it
+// leaves idle.
 func (s *Switch) stepInputs(now int64) {
-	for i := range s.in {
-		in := &s.in[i]
-		switch in.mode {
-		case modeIdle:
-			if len(in.queue) == 0 {
-				continue
+	for w, word := range s.inBusy.Words() {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			s.stepInput(i, now)
+			if s.inputIdle(i) {
+				s.inBusy.Remove(i)
 			}
-			if head := &in.queue[0]; head.w.Msg.Class == flit.ClassBarrier {
-				// Barrier tokens are combined, never routed. The token
-				// is one flit; it is fully present once queued.
-				if head.got < head.w.Len() {
-					continue
-				}
-				w := head.w
-				in.queue = in.queue[1:]
-				in.occupancy--
-				s.ports[i].In.ReturnCredit(now, 1)
-				s.handleToken(i, w)
-				continue
-			}
-			in.mode = modeHeader
-			fallthrough
-		case modeHeader:
-			head := &in.queue[0]
-			need := min(head.w.HeaderFlits(), head.w.Len())
-			if head.got < need {
-				continue
-			}
-			in.decodeLeft = s.cfg.RouteDelay
-			in.mode = modeDecode
-			fallthrough
-		case modeDecode:
-			if in.decodeLeft > 0 {
-				in.decodeLeft--
-				s.sim.Progress()
-				continue
-			}
-			s.decode(i, now)
-		case modeActive:
-			// Branches are driven from serveOutputs/arbitrate; count
-			// cycles the head could not move a single flit (whether
-			// blocked on grants, downstream credits, or missing data).
-			if in.movedAt != now {
-				s.stats.HOLBlockedSum++
-			}
-		case modeSink:
-			s.sinkHead(i, now)
 		}
+	}
+}
+
+func (s *Switch) stepInput(i int, now int64) {
+	in := &s.in[i]
+	switch in.mode {
+	case modeIdle:
+		if len(in.queue) == 0 {
+			return
+		}
+		if head := &in.queue[0]; head.w.Msg.Class == flit.ClassBarrier {
+			// Barrier tokens are combined, never routed. The token
+			// is one flit; it is fully present once queued.
+			if head.got < head.w.Len() {
+				return
+			}
+			w := head.w
+			in.queue = in.queue[1:]
+			in.occupancy--
+			s.ports[i].In.ReturnCredit(now, 1)
+			s.handleToken(i, w)
+			return
+		}
+		in.mode = modeHeader
+		fallthrough
+	case modeHeader:
+		head := &in.queue[0]
+		need := min(head.w.HeaderFlits(), head.w.Len())
+		if head.got < need {
+			return
+		}
+		in.decodeLeft = s.cfg.RouteDelay
+		in.mode = modeDecode
+		fallthrough
+	case modeDecode:
+		if in.decodeLeft > 0 {
+			in.decodeLeft--
+			s.sim.Progress()
+			return
+		}
+		s.decode(i, now)
+	case modeActive:
+		// Branches are driven from serveOutputs/arbitrate; count
+		// cycles the head could not move a single flit (whether
+		// blocked on grants, downstream credits, or missing data).
+		if in.movedAt != now {
+			s.stats.HOLBlockedSum++
+		}
+	case modeSink:
+		s.sinkHead(i, now)
 	}
 }
 
@@ -577,33 +657,40 @@ func (s *Switch) sinkHead(i int, now int64) {
 	}
 }
 
+// acceptArrivals takes at most one arrived flit per input wire, probing
+// only wires with flits in flight and clearing the bits of wires it empties.
 func (s *Switch) acceptArrivals(now int64) {
-	for i := range s.in {
-		if s.ports[i].In == nil {
-			continue
-		}
-		if _, ok := s.ports[i].In.Arrived(now); ok {
-			r := s.ports[i].In.TakeArrived(now)
-			in := &s.in[i]
-			if in.occupancy >= s.cfg.BufFlits {
-				panic(fmt.Sprintf("%s: input %d buffer overflow (credit protocol violated)", s.Name(), i))
-			}
-			if n := len(in.queue); n > 0 && in.queue[n-1].w == r.W {
-				if r.Idx != in.queue[n-1].got {
-					panic(fmt.Sprintf("%s: input %d non-contiguous flit %v", s.Name(), i, r))
+	for w, word := range s.wires.Words() {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			l := s.ports[i].In
+			if _, ok := l.Arrived(now); ok {
+				r := l.TakeArrived(now)
+				in := &s.in[i]
+				if in.occupancy >= s.cfg.BufFlits {
+					panic(fmt.Sprintf("%s: input %d buffer overflow (credit protocol violated)", s.Name(), i))
 				}
-				in.queue[n-1].got++
-			} else {
-				if r.Idx != 0 {
-					panic(fmt.Sprintf("%s: input %d new worm starting at flit %d", s.Name(), i, r.Idx))
+				if n := len(in.queue); n > 0 && in.queue[n-1].w == r.W {
+					if r.Idx != in.queue[n-1].got {
+						panic(fmt.Sprintf("%s: input %d non-contiguous flit %v", s.Name(), i, r))
+					}
+					in.queue[n-1].got++
+				} else {
+					if r.Idx != 0 {
+						panic(fmt.Sprintf("%s: input %d new worm starting at flit %d", s.Name(), i, r.Idx))
+					}
+					in.queue = append(in.queue, wormRecv{w: r.W, got: 1})
 				}
-				in.queue = append(in.queue, wormRecv{w: r.W, got: 1})
+				in.occupancy++
+				if in.occupancy > s.stats.MaxBufOccupancy {
+					s.stats.MaxBufOccupancy = in.occupancy
+				}
+				s.inBusy.Add(i)
+				s.stats.FlitsIn++
 			}
-			in.occupancy++
-			if in.occupancy > s.stats.MaxBufOccupancy {
-				s.stats.MaxBufOccupancy = in.occupancy
+			if l.InFlight() == 0 {
+				s.wires.Remove(i)
 			}
-			s.stats.FlitsIn++
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 // Checkpoint support. The switch's mutable state is the per-input worm
 // queues and branch sets, the output bindings (aliases into those branch
 // sets, encoded as (input, branch) pairs), barrier combining, counters, and
-// the per-switch RNG position.
+// the per-switch RNG position. The port bitmaps are rebuilt, not stored.
 
 // CollectState adds every worm the switch holds to the checkpoint graph.
 func (s *Switch) CollectState(g *ckpt.Graph) {
@@ -95,6 +95,15 @@ func (s *Switch) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 
 // DecodeState restores the switch over a freshly constructed twin.
 func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
+	// The port bitmaps are derived state: every input and wired input link
+	// starts marked (the first step clears the idle ones), and each output
+	// is marked below exactly when it decodes bound.
+	for i := range s.in {
+		s.inBusy.Add(i)
+		if s.ports[i].In != nil {
+			s.wires.Add(i)
+		}
+	}
 	nin := d.Count(8)
 	if d.Err() != nil {
 		return
@@ -181,6 +190,7 @@ func (s *Switch) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 			st.bound = nil
 		} else if bin >= 0 && bin < len(s.in) && bidx >= 0 && bidx < len(s.in[bin].branches) {
 			st.bound = s.in[bin].branches[bidx]
+			s.outBusy.Add(o)
 		} else {
 			d.Fail("%s: output %d bound ref (%d,%d) out of range", s.Name(), o, bin, bidx)
 			return
