@@ -76,6 +76,7 @@ type benchReport struct {
 	Family         string   `json:"family,omitempty"`
 	Workers        int      `json:"workers"`
 	Points         int      `json:"points"`
+	Runs           int      `json:"runs,omitempty"` // simulations executed (in-process only)
 	SimulatedCycle int64    `json:"simulated_cycles"`
 	WallSeconds    float64  `json:"wall_seconds"`
 	PointsPerSec   float64  `json:"points_per_sec"`
@@ -180,6 +181,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var (
 		points int
+		runs   int
 		cycles int64
 		wall   float64
 		wkrs   int
@@ -223,7 +225,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				}
 			}
 		}
-		points, cycles, wall, wkrs = st.Points, st.Cycles, st.Wall.Seconds(), st.Workers
+		points, runs, cycles, wall, wkrs = st.Points, st.Runs, st.Cycles, st.Wall.Seconds(), st.Workers
 	}
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -245,6 +247,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Family:         batchFamily(ids),
 			Workers:        wkrs,
 			Points:         points,
+			Runs:           runs,
 			SimulatedCycle: cycles,
 			WallSeconds:    wall,
 		}
@@ -257,8 +260,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "mdwbench:", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "mdwbench: %d points, %.1fs wall, %.2f points/s, %.3g cycles/s (workers=%d) -> %s (%d runs recorded)\n",
-			points, wall, rep.PointsPerSec, rep.CyclesPerSec, wkrs, *benchOut, n)
+		simulated := ""
+		if runs > 0 {
+			simulated = fmt.Sprintf(" in %d runs", runs)
+		}
+		fmt.Fprintf(stderr, "mdwbench: %d points%s, %.1fs wall, %.2f points/s, %.3g cycles/s (workers=%d) -> %s (%d entries recorded)\n",
+			points, simulated, wall, rep.PointsPerSec, rep.CyclesPerSec, wkrs, *benchOut, n)
 	}
 	return 0
 }

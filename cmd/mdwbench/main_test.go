@@ -214,8 +214,38 @@ func TestDaemonModeBenchOut(t *testing.T) {
 	if hist[0].Family != "ablation" {
 		t.Fatalf("family %q, want ablation", hist[0].Family)
 	}
+	if bytes.Contains(data, []byte(`"runs"`)) {
+		t.Fatalf("daemon batch recorded a run count it cannot know:\n%s", data)
+	}
 	if !strings.Contains(stderr.String(), "x=") {
 		t.Fatalf("-v produced no point lines:\n%s", stderr.String())
+	}
+}
+
+// TestBenchOutRecordsRuns: an in-process batch records how many simulations
+// it executed next to its planned points — e2 reads e1's runs, so e1,e2
+// plans 18 points and simulates 9 — and prints both on its summary line.
+func TestBenchOutRecordsRuns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(),
+		[]string{"-exp", "e1,e2", "-quick", "-workers", "2", "-bench-out", path}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hist []benchReport
+	if err := json.Unmarshal(data, &hist); err != nil {
+		t.Fatal(err)
+	}
+	if len(hist) != 1 || hist[0].Points != 18 || hist[0].Runs != 9 {
+		t.Fatalf("history %+v, want 18 points in 9 runs", hist)
+	}
+	if !strings.Contains(stderr.String(), "18 points in 9 runs") {
+		t.Fatalf("summary line lacks the run count:\n%s", stderr.String())
 	}
 }
 

@@ -202,8 +202,9 @@ func (c *Coordinator) SweepContext(client context.Context, req service.Experimen
 }
 
 // Sweep implements service.Executor: standard points resolve as shards
-// through the fleet (custom-harness points run locally; see
-// experiments.Options.Resolver), with the client's deadline forwarded.
+// through the fleet, one shard per distinct configuration of the sweep
+// (custom-harness points run locally; see experiments.Options.Resolver),
+// with the client's deadline forwarded.
 func (c *Coordinator) Sweep(req service.ExperimentRequest, o *experiments.Options) {
 	ctx := o.Context
 	o.Workers = c.sweepWorkers()

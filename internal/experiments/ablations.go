@@ -26,7 +26,7 @@ func A1CentralBufferSize(o Options) (*Table, error) {
 		CBHW.Apply(&cfg)
 		cfg.CB.Chunks = chunks
 		cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(load)
-		s.Points = append(s.Points, runPoint(cfg, float64(chunks), o, fmt.Sprintf("a1/c%d", chunks)))
+		s.Points = append(s.Points, runPoint(cfg, float64(chunks), fmt.Sprintf("a1/c%d", chunks)))
 	}
 	return &Table{
 		ID:      "A1",
@@ -56,7 +56,7 @@ func A2ChunkSize(o Options) (*Table, error) {
 		cfg.CB.ChunkFlits = cf
 		cfg.CB.Chunks = totalFlits / cf
 		cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(load)
-		s.Points = append(s.Points, runPoint(cfg, float64(cf), o, fmt.Sprintf("a2/cf%d", cf)))
+		s.Points = append(s.Points, runPoint(cfg, float64(cf), fmt.Sprintf("a2/cf%d", cf)))
 	}
 	return &Table{
 		ID:      "A2",
@@ -86,7 +86,7 @@ func A3ReplicateOnUpPath(o Options) (*Table, error) {
 			cfg.ReplicateOnUpPath = rep
 			cfg.Traffic.Degree = d
 			cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(load)
-			s.Points = append(s.Points, runPoint(cfg, float64(d), o, fmt.Sprintf("a3/%s/d%d", name, d)))
+			s.Points = append(s.Points, runPoint(cfg, float64(d), fmt.Sprintf("a3/%s/d%d", name, d)))
 		}
 		series = append(series, s)
 	}
@@ -115,7 +115,7 @@ func A4UpPortPolicy(o Options) (*Table, error) {
 			if arch.Arch == core.InputBuffer {
 				x = 1
 			}
-			s.Points = append(s.Points, runPoint(cfg, x, o, fmt.Sprintf("a4/%s/%s", pol, arch.Name)))
+			s.Points = append(s.Points, runPoint(cfg, x, fmt.Sprintf("a4/%s/%s", pol, arch.Name)))
 		}
 		series = append(series, s)
 	}
@@ -144,7 +144,7 @@ func A5Encoding(o Options) (*Table, error) {
 			cfg.Traffic.OpRate = 0
 			cfg.Traffic.Degree = d
 			c.Apply(&cfg)
-			s.Points = append(s.Points, singleOpPoint(cfg, d, o, fmt.Sprintf("a5/%s/d%d", c.Name, d)))
+			s.Points = append(s.Points, singleOpPoint(cfg, d, fmt.Sprintf("a5/%s/d%d", c.Name, d)))
 		}
 		series = append(series, s)
 	}
@@ -172,7 +172,7 @@ func A6SoftwareOverhead(o Options) (*Table, error) {
 			cfg.NIC.SendOverhead = ov
 			cfg.NIC.RecvOverhead = ov
 			c.Apply(&cfg)
-			s.Points = append(s.Points, singleOpPoint(cfg, 8, o, fmt.Sprintf("a6/%s/ov%d", c.Name, ov)))
+			s.Points = append(s.Points, singleOpPoint(cfg, 8, fmt.Sprintf("a6/%s/ov%d", c.Name, ov)))
 			s.Points[len(s.Points)-1].X = float64(ov)
 		}
 		series = append(series, s)
@@ -213,16 +213,14 @@ func A10SyncReplication(o Options) (*Table, error) {
 				cfg.WatchdogLimit = 20_000 // expected to wedge; fail fast
 			}
 			cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(load)
-			p := runPoint(cfg, load, o, fmt.Sprintf("a10/%s/l%.2f", name, load))
+			p := runPoint(cfg, load, fmt.Sprintf("a10/%s/l%.2f", name, load))
 			// Rewrite the expected deadlock error after the point resolves.
-			inner := p.deferred
-			p.deferred = func() Point {
-				r := inner()
+			p.pending.relabel = func(err error) error {
 				var de *engine.DeadlockError
-				if r.Err != nil && errors.As(r.Err, &de) {
-					r.Err = fmt.Errorf("DEADLOCK at cycle %d (the paper's predicted failure of synchronous replication)", de.Cycle)
+				if errors.As(err, &de) {
+					return fmt.Errorf("DEADLOCK at cycle %d (the paper's predicted failure of synchronous replication)", de.Cycle)
 				}
-				return r
+				return err
 			}
 			s.Points = append(s.Points, p)
 		}
@@ -259,7 +257,7 @@ func A11BufferBandwidth(o Options) (*Table, error) {
 		if bw == 0 {
 			x = 8 // full per-port bandwidth on an 8-port switch
 		}
-		s.Points = append(s.Points, runPoint(cfg, x, o, fmt.Sprintf("a11/bw%d", bw)))
+		s.Points = append(s.Points, runPoint(cfg, x, fmt.Sprintf("a11/bw%d", bw)))
 	}
 	return &Table{
 		ID:      "A11",
@@ -291,7 +289,7 @@ func A7HotSpot(o Options) (*Table, error) {
 			cfg.Traffic.HotSpotFraction = f
 			cfg.Traffic.HotSpotNode = 0
 			cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(load)
-			s.Points = append(s.Points, runPoint(cfg, f, o, fmt.Sprintf("a7/%s/f%.2f", c.Name, f)))
+			s.Points = append(s.Points, runPoint(cfg, f, fmt.Sprintf("a7/%s/f%.2f", c.Name, f)))
 		}
 		series = append(series, s)
 	}
@@ -325,7 +323,7 @@ func A8Barrier(o Options) (*Table, error) {
 			cfg.Traffic.OpRate = 0
 			CBHW.Apply(&cfg)
 			tag := fmt.Sprintf("a8/%s/N%d", bs, cfg.N())
-			s.Points = append(s.Points, Point{X: float64(cfg.N()), Tag: tag, deferred: func() Point {
+			s.Points = append(s.Points, Point{X: float64(cfg.N()), Tag: tag, pending: &pendingPoint{harness: func(o Options) Point {
 				sim, err := core.New(cfg)
 				if err != nil {
 					o.point(PointEvent{Tag: tag, X: float64(cfg.N()), Err: err})
@@ -343,7 +341,7 @@ func A8Barrier(o Options) (*Table, error) {
 				o.point(PointEvent{Tag: tag, X: float64(cfg.N()),
 					McastLatency: float64(lat), Cycles: sim.Now()})
 				return Point{Results: res, cycles: sim.Now()}
-			}})
+			}}})
 		}
 		series = append(series, s)
 	}
@@ -385,7 +383,7 @@ func A9Irregular(o Options) (*Table, error) {
 			cfg.Traffic.Degree = 6
 			c.Apply(&cfg)
 			cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(load)
-			s.Points = append(s.Points, runPoint(cfg, load, o, fmt.Sprintf("a9/%s/l%.2f", c.Name, load)))
+			s.Points = append(s.Points, runPoint(cfg, load, fmt.Sprintf("a9/%s/l%.2f", c.Name, load)))
 		}
 		series = append(series, s)
 	}

@@ -81,7 +81,7 @@ func C1BarrierSize(o Options) (*Table, error) {
 			cfg.Stages = st
 			c.Apply(&cfg)
 			n := cfg.N()
-			s.Points = append(s.Points, runPoint(cfg, float64(n), o, fmt.Sprintf("c1/%s/N%d", c.Name, n)))
+			s.Points = append(s.Points, runPoint(cfg, float64(n), fmt.Sprintf("c1/%s/N%d", c.Name, n)))
 		}
 		series = append(series, s)
 	}
@@ -111,7 +111,7 @@ func C2BroadcastLength(o Options) (*Table, error) {
 			cfg := collConfig(o, collective.Broadcast)
 			cfg.Collective.PayloadFlits = l
 			c.Apply(&cfg)
-			s.Points = append(s.Points, runPoint(cfg, float64(l), o, fmt.Sprintf("c2/%s/L%d", c.Name, l)))
+			s.Points = append(s.Points, runPoint(cfg, float64(l), fmt.Sprintf("c2/%s/L%d", c.Name, l)))
 		}
 		series = append(series, s)
 	}
@@ -151,7 +151,7 @@ func C3AllReduce(o Options) (*Table, error) {
 			cfg.Collective.PayloadFlits = 16
 			v.con.Apply(&cfg)
 			n := cfg.N()
-			s.Points = append(s.Points, runPoint(cfg, float64(n), o, fmt.Sprintf("c3/%s/N%d", v.name, n)))
+			s.Points = append(s.Points, runPoint(cfg, float64(n), fmt.Sprintf("c3/%s/N%d", v.name, n)))
 		}
 		series = append(series, s)
 	}
@@ -194,7 +194,7 @@ func C4ScatterGather(o Options) (*Table, error) {
 			cfg.Collective.PayloadFlits = 16
 			v.con.Apply(&cfg)
 			n := cfg.N()
-			s.Points = append(s.Points, runPoint(cfg, float64(n), o, fmt.Sprintf("c4/%s/N%d", v.name, n)))
+			s.Points = append(s.Points, runPoint(cfg, float64(n), fmt.Sprintf("c4/%s/N%d", v.name, n)))
 		}
 		series = append(series, s)
 	}
@@ -226,7 +226,7 @@ func C5Skew(o Options) (*Table, error) {
 			cfg.Collective.SkewCycles = sk
 			cfg.Collective.GapCycles = 100 + sk
 			c.Apply(&cfg)
-			s.Points = append(s.Points, runPoint(cfg, float64(sk), o, fmt.Sprintf("c5/%s/skew=%d", c.Name, sk)))
+			s.Points = append(s.Points, runPoint(cfg, float64(sk), fmt.Sprintf("c5/%s/skew=%d", c.Name, sk)))
 		}
 		series = append(series, s)
 	}
@@ -258,7 +258,7 @@ func C6Background(o Options) (*Table, error) {
 			cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(load)
 			cfg.Collective.GapCycles = 400
 			c.Apply(&cfg)
-			s.Points = append(s.Points, runPoint(cfg, load, o, fmt.Sprintf("c6/%s/load=%.2f", c.Name, load)))
+			s.Points = append(s.Points, runPoint(cfg, load, fmt.Sprintf("c6/%s/load=%.2f", c.Name, load)))
 		}
 		series = append(series, s)
 	}

@@ -35,7 +35,7 @@ func sweepLoads(o Options, tag string, shape func(cfg *core.Config), contenders 
 			cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(load)
 			// The load coordinate keeps tags unique within a series — the
 			// cluster stream merge keys its ordering on the tag.
-			s.Points = append(s.Points, runPoint(cfg, load, o, fmt.Sprintf("%s/%s/load=%.2f", tag, c.Name, load)))
+			s.Points = append(s.Points, runPoint(cfg, load, fmt.Sprintf("%s/%s/load=%.2f", tag, c.Name, load)))
 		}
 		out = append(out, s)
 	}
@@ -128,7 +128,7 @@ func E5Degree(o Options) (*Table, error) {
 			cfg.Traffic.Degree = d
 			c.Apply(&cfg)
 			cfg.Traffic.OpRate = opRate
-			s.Points = append(s.Points, runPoint(cfg, float64(d), o, fmt.Sprintf("e5/%s/d%d", c.Name, d)))
+			s.Points = append(s.Points, runPoint(cfg, float64(d), fmt.Sprintf("e5/%s/d%d", c.Name, d)))
 		}
 		series = append(series, s)
 	}
@@ -157,7 +157,7 @@ func E6MessageLength(o Options) (*Table, error) {
 			cfg.Traffic.McastPayloadFlits = l
 			c.Apply(&cfg)
 			cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(load)
-			s.Points = append(s.Points, runPoint(cfg, float64(l), o, fmt.Sprintf("e6/%s/L%d", c.Name, l)))
+			s.Points = append(s.Points, runPoint(cfg, float64(l), fmt.Sprintf("e6/%s/L%d", c.Name, l)))
 		}
 		series = append(series, s)
 	}
@@ -191,7 +191,7 @@ func E7SystemSize(o Options) (*Table, error) {
 			c.Apply(&cfg)
 			cfg.Traffic.OpRate = cfg.Traffic.RateForLoad(load)
 			n := cfg.N()
-			s.Points = append(s.Points, runPoint(cfg, float64(n), o, fmt.Sprintf("e7/%s/N%d", c.Name, n)))
+			s.Points = append(s.Points, runPoint(cfg, float64(n), fmt.Sprintf("e7/%s/N%d", c.Name, n)))
 		}
 		series = append(series, s)
 	}
@@ -221,7 +221,7 @@ func E8SingleMulticast(o Options) (*Table, error) {
 			cfg.Traffic.OpRate = 0 // idle network
 			cfg.Traffic.Degree = d
 			c.Apply(&cfg)
-			p := singleOpPoint(cfg, d, o, fmt.Sprintf("e8/%s/d%d", c.Name, d))
+			p := singleOpPoint(cfg, d, fmt.Sprintf("e8/%s/d%d", c.Name, d))
 			s.Points = append(s.Points, p)
 		}
 		series = append(series, s)
@@ -255,9 +255,9 @@ func E8SingleMulticast(o Options) (*Table, error) {
 }
 
 // singleOpPoint schedules one idle-network multicast measurement (averaged
-// over a few deterministic draws) as a deferred point.
-func singleOpPoint(cfg core.Config, degree int, o Options, tag string) Point {
-	return Point{X: float64(degree), Tag: tag, deferred: func() Point {
+// over a few deterministic draws) as a pending point.
+func singleOpPoint(cfg core.Config, degree int, tag string) Point {
+	return Point{X: float64(degree), Tag: tag, pending: &pendingPoint{harness: func(o Options) Point {
 		const draws = 16
 		sim, err := core.New(cfg)
 		if err != nil {
@@ -282,5 +282,5 @@ func singleOpPoint(cfg core.Config, degree int, o Options, tag string) Point {
 		o.point(PointEvent{Tag: tag, X: float64(degree),
 			McastLatency: res.Multicast.LastArrival.Mean, Cycles: sim.Now()})
 		return Point{X: float64(degree), Results: res, cycles: sim.Now()}
-	}}
+	}}}
 }

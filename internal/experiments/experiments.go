@@ -73,25 +73,29 @@ type Options struct {
 	// affected retroactively.
 	Context context.Context
 	// Observer, when non-nil, attaches a samples-only occupancy capture to
-	// every point's simulator and folds each point's summary into it under
-	// the point's tag. The capture carries no tracer, so measured behavior
-	// is unchanged; the per-sweep aggregate lands in SweepStats.Occupancy.
+	// every run's simulator and, once the pool drains, folds each point's
+	// summary into it under the point's tag in planned order, so the
+	// aggregate is the same for every worker count. The capture carries no
+	// tracer, so measured behavior is unchanged; the per-sweep aggregate
+	// lands in SweepStats.Occupancy.
 	Observer *obs.SweepObserver
-	// Resolver, when non-nil, replaces local simulator execution for every
-	// standard measurement point: it receives the point's fully prepared
-	// configuration and tag and returns the measured results plus the
-	// simulated-cycle cost. The cluster coordinator uses it to run points on
-	// peer daemons — determinism makes a remote measurement byte-identical
-	// to a local one, so rendered tables are unchanged. Points that measure
-	// through a custom harness rather than a standard Run (e8's idle-network
-	// single ops, a8's barriers) ignore the Resolver and execute locally;
-	// Observer is likewise ignored on resolver-backed points (occupancy is
-	// not carried over the wire).
+	// Resolver, when non-nil, replaces local simulator execution for the
+	// standard measurement points: it receives a fully prepared
+	// configuration and a tag and returns the measured results plus the
+	// simulated-cycle cost. It is called once per distinct configuration
+	// (by core.ContentAddress) in the sweep, with the tag of the first
+	// planned point that uses it; its answer is delivered to every point
+	// sharing the configuration, each under its own tag. The cluster
+	// coordinator uses it to run points on peer daemons — determinism makes
+	// a remote measurement byte-identical to a local one, so rendered tables
+	// are unchanged. Points that measure through a custom harness rather
+	// than a standard Run (e8's idle-network single ops, a8's barriers)
+	// ignore the Resolver and execute locally; Observer is likewise ignored
+	// on resolver-backed points (occupancy is not carried over the wire).
 	Resolver func(cfg core.Config, tag string) (stats.Results, int64, error)
 
 	// progressMu serializes Progress writes and OnPoint calls across pool
-	// workers; installed by forRun before experiment closures capture the
-	// options.
+	// workers; installed by forRun when a sweep resolves.
 	progressMu *sync.Mutex
 }
 
@@ -122,8 +126,8 @@ func (o Options) point(ev PointEvent) {
 }
 
 // Point is one measurement of one series. Until resolved by the runner, a
-// point may be deferred: X, Tag, and table position are fixed, and the
-// deferred closure produces the measurement when a pool worker executes it.
+// point may be pending: X, Tag, and table position are fixed, and the
+// pending plan says how a pool worker measures it.
 type Point struct {
 	X float64
 	// Tag identifies the point within its experiment (series plus sweep
@@ -134,8 +138,23 @@ type Point struct {
 	Results stats.Results
 	Err     error
 
-	deferred func() Point // pending measurement; nil once resolved
-	cycles   int64        // simulated cycles this point cost (for SweepStats)
+	pending *pendingPoint // planned measurement; nil once resolved
+	cycles  int64         // simulated cycles this point cost (for SweepStats)
+	occ     *obs.Summary  // occupancy capture awaiting Observer.Record
+}
+
+// pendingPoint is a point's planned measurement.
+type pendingPoint struct {
+	// cfg is a standard point's fully prepared configuration, measured by
+	// one core Run (or Options.Resolver call) shared by every point of the
+	// sweep with the same content address.
+	cfg core.Config
+	// harness, when non-nil, measures the point through a custom harness
+	// instead (e8's single ops, a8's barriers); such points never share.
+	harness func(Options) Point
+	// relabel, when non-nil, rewrites the point's error after its event is
+	// delivered (a10 renders its expected deadlocks this way).
+	relabel func(error) error
 }
 
 // Series is one curve of a figure (one contender).
@@ -255,82 +274,11 @@ func baseConfig(o Options) core.Config {
 	return cfg
 }
 
-// runPoint schedules one configuration as a deferred point at x; the runner
-// pool builds and runs the simulator when the point resolves — or, when a
-// Resolver is installed, hands the configuration to it instead.
-func runPoint(cfg core.Config, x float64, o Options, tag string) Point {
-	return Point{X: x, Tag: tag, deferred: func() Point {
-		if o.Resolver != nil {
-			return resolveRemote(cfg, x, o, tag)
-		}
-		sim, err := core.New(cfg)
-		if err != nil {
-			o.point(PointEvent{Tag: tag, X: x, Err: err})
-			return Point{X: x, Tag: tag, Err: err}
-		}
-		var occ *obs.Capture
-		if o.Observer != nil {
-			every := o.Observer.SampleEvery
-			if every <= 0 {
-				every = 64
-			}
-			occ = &obs.Capture{SampleEvery: every}
-			sim.Observe(occ)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			err = fmt.Errorf("%s: %w", tag, err)
-			o.point(PointEvent{Tag: tag, X: x, Cycles: sim.Now(), Err: err})
-			return Point{X: x, Tag: tag, Err: err, cycles: sim.Now()}
-		}
-		if occ != nil {
-			o.Observer.Record(tag, occ.Summary())
-		}
-		finishPoint(o, tag, x, res, sim.Now())
-		return Point{X: x, Tag: tag, Results: res, cycles: sim.Now()}
-	}}
-}
-
-// resolveRemote materializes one standard point through Options.Resolver:
-// identical event and result handling to the local path, with the
-// measurement itself performed elsewhere.
-func resolveRemote(cfg core.Config, x float64, o Options, tag string) Point {
-	res, cycles, err := o.Resolver(cfg, tag)
-	if err != nil {
-		err = fmt.Errorf("%s: %w", tag, err)
-		o.point(PointEvent{Tag: tag, X: x, Cycles: cycles, Err: err})
-		return Point{X: x, Tag: tag, Err: err, cycles: cycles}
-	}
-	finishPoint(o, tag, x, res, cycles)
-	return Point{X: x, Tag: tag, Results: res, cycles: cycles}
-}
-
-// finishPoint emits the progress line and structured event of a successful
-// standard measurement; shared by the local and resolver-backed paths so
-// their observable output is identical.
-func finishPoint(o Options, tag string, x float64, res stats.Results, cycles int64) {
-	thr := res.Multicast.DeliveredPayloadPerNodeCycle + res.Unicast.DeliveredPayloadPerNodeCycle
-	line := fmt.Sprintf("  %-28s x=%-8.4g mcast=%.1f uni=%.1f thr=%.3f sat=%v",
-		tag, x,
-		res.Multicast.LastArrival.Mean, res.Unicast.LastArrival.Mean,
-		thr, res.Saturated)
-	// Fault-free runs keep the historical line format byte-for-byte.
-	if res.DestsDropped > 0 || res.InvariantViolations > 0 {
-		line += fmt.Sprintf(" dropped=%d violations=%d", res.DestsDropped, res.InvariantViolations)
-	}
-	o.progress("%s", line)
-	o.point(PointEvent{
-		Tag:          tag,
-		X:            x,
-		McastLatency: res.Multicast.LastArrival.Mean,
-		UniLatency:   res.Unicast.LastArrival.Mean,
-		Throughput:   thr,
-		Saturated:    res.Saturated,
-		OpsDegraded:  res.OpsDegraded,
-		DestsDropped: res.DestsDropped,
-		Violations:   res.InvariantViolations,
-		Cycles:       cycles,
-	})
+// runPoint schedules one configuration as a pending point at x; the runner
+// pool measures it when the point resolves, once for all the points of the
+// sweep that plan the same configuration.
+func runPoint(cfg core.Config, x float64, tag string) Point {
+	return Point{X: x, Tag: tag, pending: &pendingPoint{cfg: cfg}}
 }
 
 // Registry maps experiment ids to their runners.
@@ -393,7 +341,6 @@ func Run(id string, o Options) (*Table, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (known, in definition order: %s)",
 			id, strings.Join(IDs(), " "))
 	}
-	o = o.forRun()
 	t, err := r(o)
 	if err != nil {
 		return t, err
@@ -410,14 +357,12 @@ func Run(id string, o Options) (*Table, error) {
 	return t, nil
 }
 
-// Plan builds the given experiments' tables with every point still deferred.
+// Plan builds the given experiments' tables with every point still pending.
 // Together with Finish it is the two-phase form of RunIDs, exported for the
-// cluster coordinator, which needs the deterministic point order of a sweep
-// (see PlannedTags) before resolution begins. Closures built here capture o,
-// so OnPoint, Progress, and Resolver must be set before Plan, and the same o
-// must be passed to Finish.
+// daemon, which needs the deterministic point order of a sweep (see
+// PlannedTags) before resolution begins. Planning reads only o's Quick and
+// Seed; the same o must be passed to Finish, which uses the rest.
 func Plan(ids []string, o Options) ([]*Table, error) {
-	o = o.forRun()
 	tables := make([]*Table, 0, len(ids))
 	for _, id := range ids {
 		r, ok := registry[id]
@@ -434,7 +379,7 @@ func Plan(ids []string, o Options) ([]*Table, error) {
 	return tables, nil
 }
 
-// PlannedTags returns the tags of every still-deferred point of the given
+// PlannedTags returns the tags of every still-pending point of the given
 // tables, in table order — the deterministic point order a sweep resolves
 // in, and the order the cluster coordinator streams merged results in.
 func PlannedTags(tables []*Table) []string {
@@ -442,7 +387,7 @@ func PlannedTags(tables []*Table) []string {
 	for _, t := range tables {
 		for si := range t.Series {
 			for pi := range t.Series[si].Points {
-				if p := &t.Series[si].Points[pi]; p.deferred != nil {
+				if p := &t.Series[si].Points[pi]; p.pending != nil {
 					tags = append(tags, p.Tag)
 				}
 			}
@@ -453,7 +398,7 @@ func PlannedTags(tables []*Table) []string {
 
 // Finish resolves planned tables across the worker pool and applies the
 // strict-table error promotion; ids must parallel tables (as returned by
-// Plan) and o must be the value Plan captured.
+// Plan) and o must be the value given to Plan.
 func Finish(ids []string, tables []*Table, o Options) (SweepStats, error) {
 	st := resolve(tables, o)
 	if cerr := o.canceled(); cerr != nil {
@@ -474,7 +419,6 @@ func Finish(ids []string, tables []*Table, o Options) (SweepStats, error) {
 // boundaries. Tables are returned in argument order regardless of how the
 // pool interleaves execution.
 func RunIDs(ids []string, o Options) ([]*Table, SweepStats, error) {
-	o = o.forRun()
 	tables, err := Plan(ids, o)
 	if err != nil {
 		return tables, SweepStats{}, err

@@ -52,7 +52,7 @@ func TestRunIDsStats(t *testing.T) {
 	for _, tab := range tables {
 		for _, s := range tab.Series {
 			for _, p := range s.Points {
-				if p.deferred != nil {
+				if p.pending != nil {
 					t.Fatalf("%s/%s x=%g left unresolved", tab.ID, s.Name, p.X)
 				}
 				points++

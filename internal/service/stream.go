@@ -39,9 +39,9 @@ func NewReorder(tags []string, emit func(seq int64, ev experiments.PointEvent)) 
 }
 
 // Reindex installs the planned tag order after the fact, for callers that
-// must wire their OnPoint callback before experiments.Plan produces the
-// tags (Plan captures its Options). It must run before any point resolves
-// — i.e. between Plan and Finish.
+// wire their OnPoint callback into the Options before experiments.Plan
+// produces the tags. It must run before any point resolves — i.e. between
+// Plan and Finish.
 func (r *Reorder) Reindex(tags []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

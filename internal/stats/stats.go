@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -251,6 +252,17 @@ type Results struct {
 	DestsDropped        int64
 	OpsDropped          int64
 	InvariantViolations int64
+}
+
+// Clone returns a deep copy of the results: the collective summary and its
+// phase slice are copied, so the clone shares no memory with r.
+func (r Results) Clone() Results {
+	if r.Collective != nil {
+		c := *r.Collective
+		c.Phases = slices.Clone(c.Phases)
+		r.Collective = &c
+	}
+	return r
 }
 
 // Finalize converts the collector into results for n nodes.

@@ -14,6 +14,11 @@
 # shared CI runners don't flake, yet high enough that losing the
 # calendar-queue scheduler or the zero-alloc switch data paths trips them.
 #
+# Both sweeps plan no configuration twice, so every point is its own
+# simulation (recorded runs == points) and cycles/sec measures the
+# simulator's own speed, not the sweep runner's sharing of identical points.
+# A sweep whose recorded runs differ from its points fails the gate.
+#
 # Override the floors (cycles/sec) with PERF_GATE_FLOOR and
 # PERF_GATE_COLL_FLOOR, e.g. for a local run on a loaded laptop:
 # PERF_GATE_FLOOR=1 PERF_GATE_COLL_FLOOR=1 scripts/perf_gate.sh
@@ -36,6 +41,13 @@ gate() {
     cps="$(grep -o '"cycles_per_sec": *[0-9.eE+-]*' "$OUT" | tail -1 | sed 's/.*: *//')"
     if [ -z "$cps" ]; then
         echo "perf_gate: no cycles_per_sec in bench output for $label sweep" >&2
+        exit 1
+    fi
+
+    points="$(grep -o '"points": *[0-9]*' "$OUT" | tail -1 | sed 's/.*: *//')"
+    runs="$(grep -o '"runs": *[0-9]*' "$OUT" | tail -1 | sed 's/.*: *//')"
+    if [ -z "$runs" ] || [ "$runs" != "$points" ]; then
+        echo "perf_gate: FAIL - $label sweep ($exps) simulated ${runs:-no recorded} runs for $points points; the gate needs one run per point" >&2
         exit 1
     fi
 
