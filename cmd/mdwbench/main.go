@@ -52,6 +52,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"syscall"
@@ -67,20 +68,25 @@ import (
 // (BENCH_sweep.json) holds a JSON array of these, newest last, so the perf
 // trajectory across commits is preserved; see appendBenchHistory.
 type benchReport struct {
-	Timestamp      string   `json:"timestamp,omitempty"`
-	Kernel         string   `json:"kernel,omitempty"`
-	GoVersion      string   `json:"go_version,omitempty"`
-	Quick          bool     `json:"quick"`
-	Seed           uint64   `json:"seed"`
-	Experiments    []string `json:"experiments"`
-	Family         string   `json:"family,omitempty"`
-	Workers        int      `json:"workers"`
-	Points         int      `json:"points"`
-	Runs           int      `json:"runs,omitempty"` // simulations executed (in-process only)
-	SimulatedCycle int64    `json:"simulated_cycles"`
-	WallSeconds    float64  `json:"wall_seconds"`
-	PointsPerSec   float64  `json:"points_per_sec"`
-	CyclesPerSec   float64  `json:"cycles_per_sec"`
+	Timestamp   string   `json:"timestamp,omitempty"`
+	Kernel      string   `json:"kernel,omitempty"`
+	GoVersion   string   `json:"go_version,omitempty"`
+	Quick       bool     `json:"quick"`
+	Seed        uint64   `json:"seed"`
+	Experiments []string `json:"experiments"`
+	Family      string   `json:"family,omitempty"`
+	Workers     int      `json:"workers"`
+	Points      int      `json:"points"`
+	Runs        int      `json:"runs,omitempty"` // simulations executed (in-process only)
+	// AllocBytes and GCCycles are the heap bytes allocated and the GC
+	// cycles completed during the sweep, as runtime/metrics deltas of this
+	// process (in-process only: a -daemon sweep allocates in the daemon).
+	AllocBytes     uint64  `json:"alloc_bytes,omitempty"`
+	GCCycles       uint64  `json:"gc_cycles,omitempty"`
+	SimulatedCycle int64   `json:"simulated_cycles"`
+	WallSeconds    float64 `json:"wall_seconds"`
+	PointsPerSec   float64 `json:"points_per_sec"`
+	CyclesPerSec   float64 `json:"cycles_per_sec"`
 }
 
 func main() {
@@ -185,6 +191,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cycles int64
 		wall   float64
 		wkrs   int
+		mem    memCounters // zero on the -daemon path
 	)
 	if *daemon != "" {
 		if *format != "text" {
@@ -203,7 +210,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		var tables []*mdworm.ExperimentTable
 		var st mdworm.SweepStats
+		before := readMemCounters()
 		tables, st, err = mdworm.RunExperiments(ids, opts)
+		mem = readMemCounters().sub(before)
 		if err == nil {
 			for _, t := range tables {
 				switch *format {
@@ -248,6 +257,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Workers:        wkrs,
 			Points:         points,
 			Runs:           runs,
+			AllocBytes:     mem.allocBytes,
+			GCCycles:       mem.gcCycles,
 			SimulatedCycle: cycles,
 			WallSeconds:    wall,
 		}
@@ -262,12 +273,28 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		simulated := ""
 		if runs > 0 {
-			simulated = fmt.Sprintf(" in %d runs", runs)
+			simulated = fmt.Sprintf(" in %d runs, %.1f MB allocated, %d GC cycles",
+				runs, float64(mem.allocBytes)/(1<<20), mem.gcCycles)
 		}
 		fmt.Fprintf(stderr, "mdwbench: %d points%s, %.1fs wall, %.2f points/s, %.3g cycles/s (workers=%d) -> %s (%d entries recorded)\n",
 			points, simulated, wall, rep.PointsPerSec, rep.CyclesPerSec, wkrs, *benchOut, n)
 	}
 	return 0
+}
+
+// memCounters are the process-wide allocation counters a sweep is charged
+// with.
+type memCounters struct{ allocBytes, gcCycles uint64 }
+
+// readMemCounters reads the cumulative heap allocation and GC cycle counts.
+func readMemCounters() memCounters {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s)
+	return memCounters{allocBytes: s[0].Value.Uint64(), gcCycles: s[1].Value.Uint64()}
+}
+
+func (m memCounters) sub(o memCounters) memCounters {
+	return memCounters{allocBytes: m.allocBytes - o.allocBytes, gcCycles: m.gcCycles - o.gcCycles}
 }
 
 // appendBenchHistory appends rep to the JSON array in path, creating the

@@ -217,6 +217,9 @@ func TestDaemonModeBenchOut(t *testing.T) {
 	if bytes.Contains(data, []byte(`"runs"`)) {
 		t.Fatalf("daemon batch recorded a run count it cannot know:\n%s", data)
 	}
+	if bytes.Contains(data, []byte(`"alloc_bytes"`)) || bytes.Contains(data, []byte(`"gc_cycles"`)) {
+		t.Fatalf("daemon batch recorded memory counters of a process that did not simulate:\n%s", data)
+	}
 	if !strings.Contains(stderr.String(), "x=") {
 		t.Fatalf("-v produced no point lines:\n%s", stderr.String())
 	}
@@ -246,6 +249,12 @@ func TestBenchOutRecordsRuns(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "18 points in 9 runs") {
 		t.Fatalf("summary line lacks the run count:\n%s", stderr.String())
+	}
+	if hist[0].AllocBytes == 0 {
+		t.Fatalf("history %+v records no allocated bytes", hist[0])
+	}
+	if !strings.Contains(stderr.String(), "MB allocated") || !strings.Contains(stderr.String(), "GC cycles") {
+		t.Fatalf("summary line lacks the memory counters:\n%s", stderr.String())
 	}
 }
 

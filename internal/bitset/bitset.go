@@ -26,6 +26,63 @@ func New(n int) Set {
 	return Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
+// Over returns a set of capacity n backed by words, which must hold exactly
+// (n+63)/64 words; the set aliases them and starts with their bits. Callers
+// that carve sets from storage they manage themselves (a run's arena) use
+// it in place of New.
+func Over(words []uint64, n int) Set {
+	if len(words) != (n+wordBits-1)/wordBits {
+		panic("bitset: word count does not match capacity")
+	}
+	return Set{words: words, n: n}
+}
+
+// WordsFor returns the number of words a set of capacity n holds.
+func WordsFor(n int) int { return (n + wordBits - 1) / wordBits }
+
+// reuse gives s capacity n, keeping its backing array when it is large
+// enough, and returns the words to fill.
+func (s *Set) reuse(n int) []uint64 {
+	k := (n + wordBits - 1) / wordBits
+	if cap(s.words) >= k {
+		s.words = s.words[:k]
+	} else {
+		s.words = make([]uint64, k)
+	}
+	s.n = n
+	return s.words
+}
+
+// SetAnd makes s the intersection of a and b with a's capacity, reusing s's
+// storage: the in-place form of a.And(b) for scratch sets.
+func (s *Set) SetAnd(a, b Set) {
+	w := s.reuse(a.n)
+	for i := range w {
+		w[i] = 0
+		if i < len(b.words) {
+			w[i] = a.words[i] & b.words[i]
+		}
+	}
+}
+
+// SetAndNot makes s the members of a not in b with a's capacity, reusing
+// s's storage: the in-place form of a.AndNot(b).
+func (s *Set) SetAndNot(a, b Set) {
+	w := s.reuse(a.n)
+	for i := range w {
+		w[i] = a.words[i]
+		if i < len(b.words) {
+			w[i] &^= b.words[i]
+		}
+	}
+}
+
+// SetCopy makes s a copy of a, reusing s's storage: the in-place form of
+// a.Clone().
+func (s *Set) SetCopy(a Set) {
+	copy(s.reuse(a.n), a.words)
+}
+
 // FromSlice returns a set of capacity n containing exactly the given members.
 func FromSlice(n int, members []int) Set {
 	s := New(n)

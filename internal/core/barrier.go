@@ -71,6 +71,7 @@ func barrierChildren(r, n int) []int {
 // release. The network must be otherwise idle (traffic generation off);
 // budget bounds the simulation.
 func (s *Simulator) RunBarrier(scheme BarrierScheme, budget int64) (int64, error) {
+	s.mustLive()
 	if s.genOn {
 		return 0, fmt.Errorf("core: RunBarrier requires an idle network")
 	}
@@ -79,7 +80,7 @@ func (s *Simulator) RunBarrier(scheme BarrierScheme, budget int64) (int64, error
 	}
 	n := s.net.N
 	start := s.sim.Now
-	fac := &factory{cfg: &s.cfg, net: s.net, ids: &s.ids}
+	fac := &s.fac
 	const arrivalPayload = 1 // a minimal "I arrived" token
 	const releasePayload = 1
 

@@ -29,7 +29,7 @@ type Simulator struct {
 	gen    *traffic.Generator
 	col    stats.Collector
 	ids    engine.IDGen
-	ops    flit.OpArena
+	fac    factory
 
 	// ports holds each switch's per-port link pair; the fault driver uses
 	// it to fail or stall specific links at their scheduled cycles.
@@ -37,6 +37,7 @@ type Simulator struct {
 
 	outstanding int // ops not yet fully delivered
 	genOn       bool
+	released    bool // Release was called; any further use panics
 
 	// Run's phase machine, checkpointable mid-run: phase tracks how far the
 	// methodology has advanced, backlog is the NIC queue depth measured at
@@ -63,16 +64,18 @@ type Simulator struct {
 
 // factory builds messages with configuration-derived header sizes.
 type factory struct {
-	cfg *Config
-	net *topology.Network
-	ids *engine.IDGen
+	cfg   *Config
+	net   *topology.Network
+	ids   *engine.IDGen
+	arena *flit.Arena
 }
 
 // NewMessage implements collective.MessageFactory.
 func (f *factory) NewMessage(src int, dests []int, class flit.Class, payload int,
 	op *flit.Op, fwd *flit.ForwardStep, now int64) *flit.Message {
 
-	return &flit.Message{
+	m := f.arena.Message()
+	*m = flit.Message{
 		ID:           f.ids.Next(),
 		Src:          src,
 		Dests:        dests,
@@ -83,6 +86,7 @@ func (f *factory) NewMessage(src int, dests []int, class flit.Class, payload int
 		Op:           op,
 		Forward:      fwd,
 	}
+	return m
 }
 
 // New builds a simulator from the configuration (normalizing buffer sizes to
@@ -130,7 +134,8 @@ func (s *Simulator) switchCredits() int {
 func (s *Simulator) build() {
 	cfg := &s.cfg
 	rootRNG := engine.NewRNG(cfg.Seed ^ 0xabcdef)
-	fac := &factory{cfg: cfg, net: s.net, ids: &s.ids}
+	s.fac = factory{cfg: cfg, net: s.net, ids: &s.ids, arena: s.sim.Arena()}
+	fac := &s.fac
 
 	// Per-switch port IO, filled as links are created.
 	ports := make([][]switches.PortIO, len(s.net.Switches))
@@ -448,13 +453,14 @@ func (s *Simulator) StartOp(src int, dests []int, multicast bool, payload int) (
 // startOpScheme is StartOp with an explicit multicast scheme (barriers mix
 // schemes within one run).
 func (s *Simulator) startOpScheme(scheme collective.Scheme, src int, dests []int, multicast bool, payload int) (*flit.Op, error) {
+	s.mustLive()
 	now := s.sim.Now
 	class := flit.ClassUnicast
 	if multicast {
 		class = flit.ClassMulticast
 	}
-	op := s.ops.New(s.ids.Next(), class, src, len(dests), now)
-	fac := &factory{cfg: &s.cfg, net: s.net, ids: &s.ids}
+	op := s.sim.Arena().Op(s.ids.Next(), class, src, len(dests), now)
+	fac := &s.fac
 	var msgs []*flit.Message
 	var err error
 	if multicast {
@@ -490,8 +496,8 @@ func (s *Simulator) startCollectiveStep(st collective.Step) (*flit.Op, error) {
 	if st.Multicast {
 		class = flit.ClassMulticast
 	}
-	op := s.ops.New(s.ids.Next(), class, st.Src, len(st.Dests), now)
-	fac := &factory{cfg: &s.cfg, net: s.net, ids: &s.ids}
+	op := s.sim.Arena().Op(s.ids.Next(), class, st.Src, len(st.Dests), now)
+	fac := &s.fac
 	var msgs []*flit.Message
 	if st.Multicast {
 		var err error
@@ -556,6 +562,7 @@ func (s *Simulator) Run() (stats.Results, error) {
 // from its saved phase, producing output byte-identical to the
 // uninterrupted run.
 func (s *Simulator) RunCheckpointed(every int64, sink func(data []byte, cycle int64) error) (r stats.Results, err error) {
+	s.mustLive()
 	// In strict mode invariant violations surface as panics from deep in
 	// the model; convert them into ordinary run errors.
 	defer func() {
@@ -695,7 +702,32 @@ func (s *Simulator) RunOp(src int, dests []int, multicast bool, payload int, bud
 
 // Step advances the simulation one cycle (generating traffic if a Run is in
 // progress); exposed for fine-grained tests.
-func (s *Simulator) Step() { s.sim.Step() }
+func (s *Simulator) Step() {
+	s.mustLive()
+	s.sim.Step()
+}
+
+// Release hands the run's memory — its link slabs and the arena chunks of
+// its worms, messages and ops — to the next simulator built in this
+// process. Call it once the results are copied out (Results, stats and
+// errors never refer to that memory); any later Run, Step, Snapshot or op
+// on the simulator panics. A second Release is a no-op. A simulator that is
+// never released is simply collected by the garbage collector.
+func (s *Simulator) Release() {
+	if s.released {
+		return
+	}
+	s.released = true
+	s.sim.Release()
+}
+
+// mustLive panics on use of a released simulator, whose memory may already
+// belong to another run.
+func (s *Simulator) mustLive() {
+	if s.released {
+		panic("core: use of a released Simulator")
+	}
+}
 
 // Quiesced reports whether the whole system is idle (including a configured
 // collective workload having run to completion).
@@ -705,6 +737,7 @@ func (s *Simulator) Quiesced() bool {
 
 // Drain runs with generation off until the system is idle.
 func (s *Simulator) Drain(budget int64) (bool, error) {
+	s.mustLive()
 	s.genOn = false
 	return s.sim.RunUntil(s.Quiesced, budget)
 }

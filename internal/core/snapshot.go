@@ -42,6 +42,7 @@ const (
 // snapshot: those attachments live outside the checkpoint and a restored run
 // could not honor them.
 func (s *Simulator) Snapshot() ([]byte, error) {
+	s.mustLive()
 	if s.capture != nil {
 		return nil, fmt.Errorf("core: cannot snapshot a simulator with an observability capture attached")
 	}

@@ -46,19 +46,49 @@ type timed[T any] struct {
 	at int64
 }
 
-// ring is an index-based FIFO over a power-of-two backing array. Unlike the
-// re-sliced append queue it replaces, pops advance a head index and pushes
-// reuse freed slots, so a link in steady state allocates nothing.
+// ring is an index-based FIFO over a power-of-two backing array. Pops
+// advance a head index and pushes reuse freed slots, so a link in steady
+// state allocates nothing. A ring of up to inlineSlots entries — both rings
+// of a latency-1 wire — lives in small, inside the Link itself; a ring may
+// therefore never be copied once buf points at it.
 type ring[T any] struct {
-	buf  []timed[T]
-	head int
-	n    int
+	buf   []timed[T]
+	head  int
+	n     int
+	small [inlineSlots]timed[T]
+}
+
+// inlineSlots is the ring capacity a latency-1 wire needs (latency+1).
+const inlineSlots = 2
+
+// reset empties the ring and sizes it for at most want entries: inline up
+// to inlineSlots, else a power-of-two heap array.
+func (r *ring[T]) reset(want int) {
+	r.head, r.n = 0, 0
+	if want <= inlineSlots {
+		r.small = [inlineSlots]timed[T]{}
+		r.buf = r.small[:]
+		return
+	}
+	size := 2 * inlineSlots
+	for size < want {
+		size *= 2
+	}
+	r.buf = make([]timed[T], size)
 }
 
 func (r *ring[T]) len() int { return r.n }
 
 // front returns the oldest element; the ring must be non-empty.
 func (r *ring[T]) front() *timed[T] { return &r.buf[r.head] }
+
+// back returns the newest element; the ring must be non-empty.
+func (r *ring[T]) back() *timed[T] { return r.at(r.n - 1) }
+
+// at returns the i-th queued element (0 = oldest) without consuming it.
+func (r *ring[T]) at(i int) *timed[T] {
+	return &r.buf[(r.head+i)&(len(r.buf)-1)]
+}
 
 func (r *ring[T]) push(v timed[T]) {
 	if r.n == len(r.buf) {
@@ -77,14 +107,18 @@ func (r *ring[T]) pop() timed[T] {
 	return e
 }
 
+// grow doubles the ring. The link's own bound (latency+1 entries, see
+// init) never reaches it; it serves restored checkpoints written before
+// credit folding, whose credit queues may be longer, and ad-hoc harnesses
+// whose receivers leave arrived flits on the wire.
 func (r *ring[T]) grow() {
 	size := 2 * len(r.buf)
 	if size == 0 {
-		size = 4
+		size = inlineSlots
 	}
 	buf := make([]timed[T], size)
 	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		buf[i] = *r.at(i)
 	}
 	r.buf = buf
 	r.head = 0
@@ -93,33 +127,44 @@ func (r *ring[T]) grow() {
 // NewLink creates a link with the given latency (>= 1) and initial credit
 // count (the capacity of the receiver's buffer).
 func NewLink(name string, latency, credits int) *Link {
+	l := new(Link)
+	l.init(name, latency, credits)
+	l.activity = new(int64)
+	return l
+}
+
+// init sets up a zero (or recycled) Link in place. Both queues are sized by
+// the wire, not by the credit count: a sender puts at most one flit per
+// cycle on the wire and every receiver takes one arrived flit per cycle,
+// so at most latency+1 flits are ever in flight; and ReturnCredit folds
+// same-cycle and already-due returns, so the credit queue holds at most
+// one due entry plus one per cycle of the latency window.
+func (l *Link) init(name string, latency, credits int) {
 	if latency < 1 {
 		panic("engine: link latency must be >= 1")
 	}
 	if credits < 1 {
 		panic("engine: link credits must be >= 1")
 	}
-	var noop int64
-	l := &Link{
+	*l = Link{
 		name:     name,
 		latency:  int64(latency),
 		credits:  credits,
 		capacity: credits,
 		lastSend: -1,
 		lastTake: -1,
-		activity: &noop,
 		recv:     -1,
 	}
-	// Credit discipline bounds both rings at the credit capacity, so size
-	// them up front instead of growing through the first busy worms.
-	size := 4
-	for size < credits {
-		size *= 2
-	}
-	l.inflight.buf = make([]timed[flit.Ref], size)
-	l.creditsQ.buf = make([]timed[int], size)
-	return l
+	l.inflight.reset(latency + 1)
+	l.creditsQ.reset(latency + 1)
 }
+
+// MaxQueued returns the larger of the link's in-flight flit count and its
+// credit-queue length, for checking the latency+1 bound.
+func (l *Link) MaxQueued() int { return max(l.inflight.len(), l.creditsQ.len()) }
+
+// Latency returns the wire latency in cycles.
+func (l *Link) Latency() int { return int(l.latency) }
 
 // Name returns the link's diagnostic name.
 func (l *Link) Name() string { return l.name }
@@ -250,12 +295,26 @@ func (l *Link) BindWireMark(word *uint64, bit int) {
 }
 
 // ReturnCredit notifies the sender (after the link latency) that n slots of
-// the receiver's buffer have been freed.
+// the receiver's buffer have been freed. Returns due in the same cycle share
+// one entry, and returns already due (at <= now) fold into the oldest one:
+// every later drain adds all due entries together, so the sender sees the
+// same credit count, and the queue stays within latency+1 entries however
+// long the sender goes without draining.
 func (l *Link) ReturnCredit(now int64, n int) {
 	if n <= 0 {
 		panic("engine: ReturnCredit with non-positive n")
 	}
-	l.creditsQ.push(timed[int]{v: n, at: now + l.latency})
+	at := now + l.latency
+	q := &l.creditsQ
+	if q.n > 0 && q.back().at == at {
+		q.back().v += n
+		return
+	}
+	for q.n >= 2 && q.at(1).at <= now {
+		due := q.pop().v
+		q.front().v += due
+	}
+	q.push(timed[int]{v: n, at: at})
 }
 
 // Quiesced reports whether no flits are on the wire.

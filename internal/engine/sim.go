@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"strings"
+
+	"mdworm/internal/flit"
 )
 
 // Kernel names the scheduling discipline compiled into this engine, for
@@ -100,7 +102,9 @@ type Simulation struct {
 	links []*Link
 	// linkSlab backs Simulation-created links in contiguous chunks so a
 	// fabric's link state is cache-adjacent instead of heap-scattered.
-	linkSlab []Link
+	linkSlab flit.Slab[Link]
+	// arena allocates the run's worms, messages and ops.
+	arena flit.Arena
 	// busyLinks counts links with at least one flit on the wire, so
 	// quiescence and jump decisions are O(1) instead of a fabric scan.
 	busyLinks    int
@@ -238,17 +242,31 @@ func (s *Simulation) noteSend(recv int32, arriveAt int64) {
 // movement feeds the progress watchdog and the busy-link census. Link
 // structs are carved from contiguous slabs.
 func (s *Simulation) NewLink(name string, latency, credits int) *Link {
-	if len(s.linkSlab) == 0 {
-		s.linkSlab = make([]Link, 64)
-	}
-	l := &s.linkSlab[0]
-	s.linkSlab = s.linkSlab[1:]
-	*l = *NewLink(name, latency, credits)
+	l := &s.linkSlab.Take(linkPool, 1)[0]
+	l.init(name, latency, credits)
 	l.bindActivity(&s.activity)
 	l.sim = s
 	l.inv = s.inv
 	s.links = append(s.links, l)
 	return l
+}
+
+// linkPool hands released link chunks to the next simulation; poisoned
+// links carry implausible counts and a failed, mid-worm wire.
+var linkPool = flit.NewChunkPool(Link{name: "released", latency: -1, credits: -1, capacity: -1,
+	lastSend: -1, lastTake: -1, carried: -1, recv: -1, failed: true, midWorm: true})
+
+// Arena returns the run's allocator for worms, messages and ops.
+func (s *Simulation) Arena() *flit.Arena { return &s.arena }
+
+// Release hands the simulation's link slabs and arena chunks to the next
+// run (see flit.Arena). The caller guarantees that nothing uses the
+// simulation, its links or any object it allocated afterwards; a second
+// Release is a no-op.
+func (s *Simulation) Release() {
+	s.linkSlab.Release(linkPool)
+	s.links = nil
+	s.arena.Release()
 }
 
 // Links returns all registered links.

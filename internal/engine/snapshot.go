@@ -25,11 +25,6 @@ func (g *IDGen) State() uint64 { return g.n }
 // SetState restores the identifier counter.
 func (g *IDGen) SetState(n uint64) { g.n = n }
 
-// at returns the i-th queued element (0 = oldest) without consuming it.
-func (r *ring[T]) at(i int) *timed[T] {
-	return &r.buf[(r.head+i)&(len(r.buf)-1)]
-}
-
 // CollectState adds every worm referenced by the link's queues to the
 // checkpoint object graph.
 func (l *Link) CollectState(g *ckpt.Graph) {
@@ -68,7 +63,7 @@ func (l *Link) EncodeState(e *ckpt.Enc, g *ckpt.Graph) {
 // DecodeState restores the link's mutable state over a freshly constructed
 // link (same name/latency/capacity). Malformed input sets the decoder error.
 func (l *Link) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
-	l.inflight = ring[flit.Ref]{}
+	l.inflight.reset(int(l.latency) + 1)
 	nf := d.Count(24)
 	for i := 0; i < nf && d.Err() == nil; i++ {
 		w := g.WormAt(d, d.U64())
@@ -83,7 +78,7 @@ func (l *Link) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		}
 		l.inflight.push(timed[flit.Ref]{v: flit.Ref{W: w, Idx: idx}, at: at})
 	}
-	l.creditsQ = ring[int]{}
+	l.creditsQ.reset(int(l.latency) + 1)
 	nc := d.Count(16)
 	for i := 0; i < nc && d.Err() == nil; i++ {
 		v := d.Int()

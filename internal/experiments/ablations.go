@@ -329,6 +329,7 @@ func A8Barrier(o Options) (*Table, error) {
 					o.point(PointEvent{Tag: tag, X: float64(cfg.N()), Err: err})
 					return Point{Err: err}
 				}
+				defer sim.Release()
 				lat, err := sim.RunBarrier(bs, 10_000_000)
 				if err != nil {
 					o.point(PointEvent{Tag: tag, X: float64(cfg.N()), Cycles: sim.Now(), Err: err})

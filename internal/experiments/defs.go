@@ -264,6 +264,7 @@ func singleOpPoint(cfg core.Config, degree int, tag string) Point {
 			o.point(PointEvent{Tag: tag, X: float64(degree), Err: err})
 			return Point{X: float64(degree), Err: err}
 		}
+		defer sim.Release()
 		// Reuse the simulator across draws; the network is idle between ops.
 		rng := newDrawRNG(cfg.Seed)
 		var col pointCollector

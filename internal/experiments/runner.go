@@ -248,6 +248,7 @@ func measure(cfg core.Config, tag string, o Options) measurement {
 	if err != nil {
 		return measurement{err: err}
 	}
+	defer sim.Release() // everything below is copied out before it runs
 	var occ *obs.Capture
 	if o.Observer != nil {
 		every := o.Observer.SampleEvery

@@ -195,12 +195,12 @@ type Worm struct {
 	Msg *Message
 	// Dests is the set of destinations this branch must still cover.
 	Dests bitset.Set
+	// Hops counts switch traversals of this branch (root worm inherits 0).
+	Hops int
 	// GoingUp records the BMIN routing phase: true while the worm is
 	// ascending toward the least-common-ancestor stage. Once a worm turns
 	// downward it never ascends again (up*/down* conformance).
 	GoingUp bool
-	// Hops counts switch traversals of this branch (root worm inherits 0).
-	Hops int
 
 	// cachedLen memoizes Msg.Len()+1 (0 = not yet computed): Len sits on
 	// the per-flit hot path of every switch model, and reading it from the

@@ -8,7 +8,6 @@ package nic
 import (
 	"fmt"
 
-	"mdworm/internal/bitset"
 	"mdworm/internal/collective"
 	"mdworm/internal/engine"
 	"mdworm/internal/flit"
@@ -75,7 +74,6 @@ type NIC struct {
 	sim     *engine.Simulation
 	factory collective.MessageFactory
 	onDelv  DeliveredFunc
-	arena   flit.WormArena
 
 	sendQ         []*flit.Message
 	overheadLeft  int
@@ -277,8 +275,12 @@ func (nc *NIC) stepInject(now int64) {
 		m := nc.sendQ[0]
 		nc.sendQ = nc.sendQ[1:]
 		nc.overheadSpent = false
-		dests := bitset.FromSlice(nc.n, m.Dests)
-		nc.curWorm = nc.arena.New()
+		arena := nc.sim.Arena()
+		dests := arena.NewSet(nc.n)
+		for _, d := range m.Dests {
+			dests.Add(d)
+		}
+		nc.curWorm = arena.Worm()
 		*nc.curWorm = flit.Worm{
 			ID:      nc.ids.Next(),
 			Msg:     m,

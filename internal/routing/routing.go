@@ -75,10 +75,17 @@ type Branch struct {
 // Decision is the complete branching plan for a worm at a switch. DownPorts
 // lists descending branches; UpDests is the residue that must continue
 // ascending through one of UpCandidates (all equivalent by construction).
+//
+// A Decision is reusable scratch: RouteInto and RouteAvoid overwrite it in
+// place, recycling the storage of its slices and sets, so a switch that
+// keeps one Decision decodes without allocating. The sets it holds are only
+// valid until the next decision written into it.
 type Decision struct {
 	Down         []Branch
 	UpDests      bitset.Set // empty if the worm need not ascend
 	UpCandidates []int      // valid up ports, when UpDests is non-empty
+
+	within bitset.Set // scratch: the destinations inside this subtree
 }
 
 // NumBranches returns the total branch count once an up port is chosen.
@@ -90,15 +97,44 @@ func (d *Decision) NumBranches() int {
 	return n
 }
 
+// reset empties the decision, keeping its storage.
+func (d *Decision) reset() {
+	d.Down = d.Down[:0]
+	d.UpDests.SetCopy(bitset.Set{})
+	d.UpCandidates = d.UpCandidates[:0]
+}
+
+// addDown appends a down branch covering within ∩ reach, reusing the sets
+// of branches earlier decisions left in the slice's spare capacity.
+func (d *Decision) addDown(port int, within, reach bitset.Set) {
+	if len(d.Down) < cap(d.Down) {
+		d.Down = d.Down[:len(d.Down)+1]
+	} else {
+		d.Down = append(d.Down, Branch{})
+	}
+	b := &d.Down[len(d.Down)-1]
+	b.Port = port
+	b.Dests.SetAnd(within, reach)
+}
+
 // Route computes the branching plan for a worm with destination set dests
 // arriving at switch sw. Ascending reports whether the worm arrived from
 // below (on a down port, or injected by a processor); descending worms must
 // have all destinations within the switch's subtree.
 func (r *Router) Route(sw *topology.Switch, dests bitset.Set, ascending bool) (Decision, error) {
-	if dests.Empty() {
-		return Decision{}, fmt.Errorf("routing: empty destination set at switch %d", sw.ID)
-	}
 	var dec Decision
+	if err := r.RouteInto(&dec, sw, dests, ascending); err != nil {
+		return Decision{}, err
+	}
+	return dec, nil
+}
+
+// RouteInto is Route writing the plan into dec (see Decision).
+func (r *Router) RouteInto(dec *Decision, sw *topology.Switch, dests bitset.Set, ascending bool) error {
+	dec.reset()
+	if dests.Empty() {
+		return fmt.Errorf("routing: empty destination set at switch %d", sw.ID)
+	}
 
 	// covered means no residue above this switch: dests ⊆ ReachAll. The
 	// word-wise subset test avoids materializing within/residue sets on the
@@ -106,21 +142,21 @@ func (r *Router) Route(sw *topology.Switch, dests bitset.Set, ascending bool) (D
 	// unicast below its LCA never is).
 	covered := dests.SubsetOf(sw.ReachAll())
 	if !ascending && !covered {
-		return Decision{}, fmt.Errorf("routing: descending worm at switch %d has unreachable destinations %v",
+		return fmt.Errorf("routing: descending worm at switch %d has unreachable destinations %v",
 			sw.ID, dests.AndNot(sw.ReachAll()).Members())
 	}
 	within := dests
 	if !covered {
-		within = dests.And(sw.ReachAll())
+		dec.within.SetAnd(dests, sw.ReachAll())
+		within = dec.within
 	}
 
 	coverDown := ascending && (r.ReplicateOnUpPath || covered) || !ascending
 	if coverDown {
 		for _, pn := range sw.DownPorts() {
-			if !within.Intersects(sw.Ports[pn].Reach) {
-				continue
+			if within.Intersects(sw.Ports[pn].Reach) {
+				dec.addDown(pn, within, sw.Ports[pn].Reach)
 			}
-			dec.Down = append(dec.Down, Branch{Port: pn, Dests: within.And(sw.Ports[pn].Reach)})
 		}
 	}
 
@@ -128,44 +164,44 @@ func (r *Router) Route(sw *topology.Switch, dests bitset.Set, ascending bool) (D
 	case covered:
 		// Fully covered below; nothing ascends.
 	case r.ReplicateOnUpPath:
-		dec.UpDests = dests.AndNot(sw.ReachAll())
+		dec.UpDests.SetAndNot(dests, sw.ReachAll())
 	default:
 		// Ascend undivided; replication happens past the LCA stage.
-		dec.UpDests = dests.Clone()
-		dec.Down = nil
+		dec.UpDests.SetCopy(dests)
+		dec.Down = dec.Down[:0]
 	}
 
 	if !dec.UpDests.Empty() {
 		dec.UpCandidates = append(dec.UpCandidates, sw.UpPorts()...)
 		if len(dec.UpCandidates) == 0 {
-			return Decision{}, fmt.Errorf("routing: switch %d must ascend for %v but has no up ports",
+			return fmt.Errorf("routing: switch %d must ascend for %v but has no up ports",
 				sw.ID, dec.UpDests.Members())
 		}
 	}
-	return dec, nil
+	return nil
 }
 
-// RouteAvoid computes the branching plan like Route while steering around
-// dead output ports, as reported by the dead predicate (nil means fully
-// healthy and behaves exactly like Route). Destinations whose only path runs
-// through a dead port are returned in the second result for the caller to
+// RouteAvoid computes the branching plan into dec like RouteInto while
+// steering around dead output ports, as reported by the dead predicate (nil
+// means fully healthy and behaves exactly like RouteInto). Destinations
+// whose only path runs through a dead port are returned for the caller to
 // account as dropped: on trees every inter-switch link is a bridge, so a
 // dead down port partitions its whole subtree, and a worm that must ascend
 // but has lost every up port covers what it can below and abandons the
 // residue. The error cases are those of Route (malformed requests), never
 // mere degradation.
-func (r *Router) RouteAvoid(sw *topology.Switch, dests bitset.Set, ascending bool, dead func(port int) bool) (Decision, bitset.Set, error) {
+func (r *Router) RouteAvoid(dec *Decision, sw *topology.Switch, dests bitset.Set, ascending bool, dead func(port int) bool) (bitset.Set, error) {
 	if dead == nil {
-		dec, err := r.Route(sw, dests, ascending)
-		return dec, bitset.Set{}, err
+		return bitset.Set{}, r.RouteInto(dec, sw, dests, ascending)
 	}
+	dec.reset()
 	if dests.Empty() {
-		return Decision{}, bitset.Set{}, fmt.Errorf("routing: empty destination set at switch %d", sw.ID)
+		return bitset.Set{}, fmt.Errorf("routing: empty destination set at switch %d", sw.ID)
 	}
 
 	covered := dests.SubsetOf(sw.ReachAll())
 	if !ascending && !covered {
-		return Decision{}, bitset.Set{}, fmt.Errorf("routing: descending worm at switch %d has unreachable destinations %v",
+		return bitset.Set{}, fmt.Errorf("routing: descending worm at switch %d has unreachable destinations %v",
 			sw.ID, dests.AndNot(sw.ReachAll()).Members())
 	}
 	within := dests
@@ -177,20 +213,18 @@ func (r *Router) RouteAvoid(sw *topology.Switch, dests bitset.Set, ascending boo
 
 	needUp := !covered
 	if needUp && len(sw.UpPorts()) == 0 {
-		return Decision{}, bitset.Set{}, fmt.Errorf("routing: switch %d must ascend for %v but has no up ports",
+		return bitset.Set{}, fmt.Errorf("routing: switch %d must ascend for %v but has no up ports",
 			sw.ID, residue.Members())
 	}
-	var upAlive []int
 	if needUp {
 		for _, pn := range sw.UpPorts() {
 			if !dead(pn) {
-				upAlive = append(upAlive, pn)
+				dec.UpCandidates = append(dec.UpCandidates, pn)
 			}
 		}
 	}
-	upSevered := needUp && len(upAlive) == 0
+	upSevered := needUp && len(dec.UpCandidates) == 0
 
-	var dec Decision
 	dropped := bitset.New(r.Net.N)
 	coverDown := !ascending || !needUp || r.ReplicateOnUpPath || upSevered
 	if coverDown {
@@ -198,12 +232,11 @@ func (r *Router) RouteAvoid(sw *topology.Switch, dests bitset.Set, ascending boo
 			if !within.Intersects(sw.Ports[pn].Reach) {
 				continue
 			}
-			sub := within.And(sw.Ports[pn].Reach)
 			if dead(pn) {
-				dropped.OrIn(sub)
+				dropped.OrIn(within.And(sw.Ports[pn].Reach))
 				continue
 			}
-			dec.Down = append(dec.Down, Branch{Port: pn, Dests: sub})
+			dec.addDown(pn, within, sw.Ports[pn].Reach)
 		}
 	}
 
@@ -214,16 +247,16 @@ func (r *Router) RouteAvoid(sw *topology.Switch, dests bitset.Set, ascending boo
 		// Every up port is dead: the residue is unreachable from here.
 		dropped.OrIn(residue)
 	case r.ReplicateOnUpPath:
-		dec.UpDests = residue
+		dec.UpDests.SetCopy(residue)
 	default:
 		// Ascend undivided; replication happens past the LCA stage.
-		dec.UpDests = dests.Clone()
-		dec.Down = nil
+		dec.UpDests.SetCopy(dests)
+		dec.Down = dec.Down[:0]
 	}
-	if !dec.UpDests.Empty() {
-		dec.UpCandidates = upAlive
+	if dec.UpDests.Empty() {
+		dec.UpCandidates = dec.UpCandidates[:0]
 	}
-	return dec, dropped, nil
+	return dropped, nil
 }
 
 // PickUp chooses the up port for a decision according to the router policy.

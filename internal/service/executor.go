@@ -94,6 +94,7 @@ func (l *local) Run(job RunJob) ([]byte, JobStats, error) {
 		}
 		sim = fresh
 	}
+	defer sim.Release() // the response bytes and stats are copied out first
 
 	var res stats.Results
 	var err error

@@ -219,7 +219,7 @@ type Switch struct {
 	rng    *engine.RNG
 	ids    *engine.IDGen
 	sim    *engine.Simulation
-	arena  flit.WormArena
+	dec    routing.Decision // routing scratch, reused by every decode
 
 	in  []inputState
 	out []outputState
@@ -242,6 +242,9 @@ type Switch struct {
 	pendingTok   []pendingToken
 	pendingRes   [2][]*packetBuf // reservation queue per direction pool
 	livePB       int
+	// freePB recycles retired packets; each keeps its branch records for
+	// the next packet carved from it.
+	freePB []*packetBuf
 
 	// Port bitmaps, the switch's active sets: inBusy marks inputs that are
 	// not idle or hold flits, outBusy outputs that are not idle or hold a
@@ -547,14 +550,14 @@ func (s *Switch) serveOutput(o int, now int64) {
 			if out != nil && out.Dead() {
 				// The branch can never be transmitted; account the
 				// drop and release its hold on the packet.
-				st.queue = st.queue[1:]
+				st.queue = switches.PopFront(st.queue)
 				s.reportDrop(now, b.child, b.child.Dests)
 				b.read = b.pb.total
 				s.advanceFreeing(b.pb, now)
 				continue
 			}
 			st.cur = b
-			st.queue = st.queue[1:]
+			st.queue = switches.PopFront(st.queue)
 			st.mode = outCB
 			break
 		}
@@ -569,11 +572,11 @@ func (s *Switch) serveOutput(o int, now int64) {
 	s.rdBudget--
 	st.fifo.Push(flit.Ref{W: b.child, Idx: b.read})
 	b.read++
-	s.advanceFreeing(b.pb, now)
 	if b.read == b.pb.total {
 		st.cur = nil
 		st.mode = outIdle
 	}
+	s.advanceFreeing(b.pb, now) // may retire the packet, recycling b
 }
 
 // advanceFreeing releases chunks every reader has fully consumed.
@@ -615,6 +618,9 @@ func (s *Switch) retirePB(pb *packetBuf, now int64) {
 		pb.reserved = 0
 	}
 	s.livePB--
+	// Nothing refers to a retired packet any more: its input moved on and
+	// every branch left its output queue, so the records can be reused.
+	s.freePB = append(s.freePB, pb)
 }
 
 // Shrink permanently removes n chunks of central-buffer capacity (the
@@ -674,7 +680,7 @@ func (s *Switch) accrueReservations(now int64) {
 				break
 			}
 			s.admit(head, now)
-			s.pendingRes[pool] = s.pendingRes[pool][1:]
+			s.pendingRes[pool] = switches.PopFront(s.pendingRes[pool])
 		}
 	}
 }
@@ -815,7 +821,8 @@ func (s *Switch) decode(i int, now int64) {
 			return out != nil && out.Dead()
 		}
 	}
-	plans, dropped, err := switches.PlanBranches(s.router, s.node, in.worm, ascending, free, dead, s.rng, s.ids, &s.arena)
+	plans, dropped, err := switches.PlanBranches(s.router, s.node, in.worm, ascending, free, dead,
+		s.rng, s.ids, s.sim.Arena(), &s.dec, in.plans)
 	if err != nil {
 		panic(fmt.Sprintf("%s: input %d: %v", s.Name(), i, err))
 	}
@@ -891,19 +898,31 @@ func (s *Switch) decode(i int, now int64) {
 	}
 }
 
+// newPacketBuf carves a packet for input i's decoded worm, recycling a
+// retired packet and its branch records when one is free.
 func (s *Switch) newPacketBuf(i int, multicast bool, pool int) *packetBuf {
 	in := &s.in[i]
-	pb := &packetBuf{
+	var pb *packetBuf
+	if n := len(s.freePB); n > 0 {
+		pb = s.freePB[n-1]
+		s.freePB = s.freePB[:n-1]
+	} else {
+		pb = new(packetBuf)
+	}
+	brs := pb.branches[:0]
+	*pb = packetBuf{
 		worm:      in.worm,
 		total:     in.worm.Len(),
 		multicast: multicast,
 		input:     i,
 		pool:      pool,
 	}
-	pb.branches = make([]*cbBranch, len(in.plans))
-	for bi, p := range in.plans {
-		pb.branches[bi] = &cbBranch{pb: pb, child: p.Child, out: p.Port}
+	for _, p := range in.plans {
+		var b *cbBranch
+		brs, b = switches.AppendRecord(brs)
+		*b = cbBranch{pb: pb, child: p.Child, out: p.Port}
 	}
+	pb.branches = brs
 	return pb
 }
 
@@ -967,7 +986,7 @@ func (s *Switch) writeCB(i int, now int64) {
 func (s *Switch) clearInput(in *inputState) {
 	in.mode = modeIdle
 	in.worm = nil
-	in.plans = nil
+	in.plans = in.plans[:0]
 	in.pb = nil
 	in.bypassOut = -1
 }

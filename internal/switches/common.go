@@ -34,26 +34,32 @@ type Planned struct {
 }
 
 // PlanBranches routes worm w arriving at sw (ascending or descending) and
-// forks one child worm per branch. free reports whether an output port is
-// currently unbound (consulted by the adaptive up policy); rng drives the
-// random up policy. dead, when non-nil, marks output ports whose links have
-// failed: the plan routes around them and the second result carries the
-// destinations that became unreachable, for the caller to account as
-// dropped. A plan may legitimately be empty when every branch died.
+// forks one child worm per branch, appending the branches to plans[:0] —
+// the deciding input's own buffer — and returning it. dec is the switch's
+// routing scratch (see routing.Decision); children and their destination
+// sets come from the run's arena, so a healthy decode allocates nothing.
+// free reports whether an output port is currently unbound (consulted by
+// the adaptive up policy); rng drives the random up policy. dead, when
+// non-nil, marks output ports whose links have failed: the plan routes
+// around them and the second result carries the destinations that became
+// unreachable, for the caller to account as dropped. A plan may
+// legitimately be empty when every branch died.
 func PlanBranches(r *routing.Router, sw *topology.Switch, w *flit.Worm, ascending bool,
 	free func(port int) bool, dead func(port int) bool,
-	rng *engine.RNG, ids *engine.IDGen, arena *flit.WormArena) ([]Planned, bitset.Set, error) {
+	rng *engine.RNG, ids *engine.IDGen, arena *flit.Arena,
+	dec *routing.Decision, plans []Planned) ([]Planned, bitset.Set, error) {
 
-	dec, dropped, err := r.RouteAvoid(sw, w.Dests, ascending, dead)
+	dropped, err := r.RouteAvoid(dec, sw, w.Dests, ascending, dead)
 	if err != nil {
-		return nil, bitset.Set{}, err
+		return plans[:0], bitset.Set{}, err
 	}
-	plans := make([]Planned, 0, dec.NumBranches())
-	for _, b := range dec.Down {
+	plans = plans[:0]
+	for i := range dec.Down {
+		b := &dec.Down[i]
 		plans = append(plans, Planned{Port: b.Port, Child: fork(w, b.Dests, false, ids, arena)})
 	}
 	if !dec.UpDests.Empty() {
-		port := r.PickUp(&dec, w.Msg, free, rng)
+		port := r.PickUp(dec, w.Msg, free, rng)
 		plans = append(plans, Planned{Port: port, Child: fork(w, dec.UpDests, true, ids, arena)})
 	}
 	return plans, dropped, nil
@@ -71,16 +77,47 @@ func AnyDeadOut(ports []PortIO) bool {
 	return false
 }
 
-func fork(w *flit.Worm, dests bitset.Set, goingUp bool, ids *engine.IDGen, arena *flit.WormArena) *flit.Worm {
-	child := arena.New()
+func fork(w *flit.Worm, dests bitset.Set, goingUp bool, ids *engine.IDGen, arena *flit.Arena) *flit.Worm {
+	child := arena.Worm()
 	*child = flit.Worm{
 		ID:      ids.Next(),
 		Msg:     w.Msg,
-		Dests:   dests,
+		Dests:   arena.Set(dests),
 		GoingUp: goingUp,
 		Hops:    w.Hops + 1,
 	}
 	return child
+}
+
+// PopFront removes the first element of a FIFO kept in a slice, in place:
+// the rest shifts down, so the backing array keeps its full capacity for
+// later appends. Re-slicing q[1:] instead strands the front slot, and a
+// queue fed by append then reallocates every time it wraps. Switch queues
+// are short (bounded by buffer space), so the shift is cheap.
+func PopFront[T any](q []T) []T {
+	n := copy(q, q[1:])
+	var zero T
+	q[n] = zero
+	return q[:n]
+}
+
+// AppendRecord extends a slice of record pointers by one and returns the
+// new record, reusing the one an earlier use of the slice left in its spare
+// capacity, so a switch that truncates its record slices instead of
+// dropping them allocates records only up to its high-water mark. The
+// caller overwrites the record in full.
+func AppendRecord[T any](recs []*T) ([]*T, *T) {
+	if len(recs) < cap(recs) {
+		recs = recs[:len(recs)+1]
+		if r := recs[len(recs)-1]; r != nil {
+			return recs, r
+		}
+	} else {
+		recs = append(recs, nil)
+	}
+	r := new(T)
+	recs[len(recs)-1] = r
+	return recs, r
 }
 
 // RoundRobin is a fair pick-one arbiter over n requesters.

@@ -112,9 +112,13 @@ type inputState struct {
 	occupancy  int        // buffered flits not yet freed
 	mode       inputMode
 	decodeLeft int
-	branches   []*branch
-	minSent    int
-	movedAt    int64 // last cycle any branch of this input forwarded a flit
+	// branches are the head worm's branch records. A finished head leaves
+	// them in the slice's spare capacity, where the next decode reuses
+	// them; plans is the decode's branch buffer, reused the same way.
+	branches []*branch
+	plans    []switches.Planned
+	minSent  int
+	movedAt  int64 // last cycle any branch of this input forwarded a flit
 }
 
 type outputState struct {
@@ -131,7 +135,7 @@ type Switch struct {
 	rng    *engine.RNG
 	ids    *engine.IDGen
 	sim    *engine.Simulation
-	arena  flit.WormArena
+	dec    routing.Decision // routing scratch, reused by every decode
 
 	in  []inputState
 	out []outputState
@@ -483,8 +487,10 @@ func (s *Switch) finishHeads(now int64) {
 					s.ports[i].In.ReturnCredit(now, delta)
 				}
 			}
-			in.queue = in.queue[1:]
-			in.branches = nil
+			in.queue = switches.PopFront(in.queue)
+			// Every branch is done and released its output, so nothing
+			// else refers to the records: keep them for the next head.
+			in.branches = in.branches[:0]
 			in.minSent = 0
 			in.mode = modeIdle
 			s.sim.Progress()
@@ -554,7 +560,7 @@ func (s *Switch) stepInput(i int, now int64) {
 				return
 			}
 			w := head.w
-			in.queue = in.queue[1:]
+			in.queue = switches.PopFront(in.queue)
 			in.occupancy--
 			s.ports[i].In.ReturnCredit(now, 1)
 			s.handleToken(i, w)
@@ -604,7 +610,9 @@ func (s *Switch) decode(i int, now int64) {
 			return out != nil && out.Dead()
 		}
 	}
-	plans, dropped, err := switches.PlanBranches(s.router, s.node, head.w, ascending, free, dead, s.rng, s.ids, &s.arena)
+	plans, dropped, err := switches.PlanBranches(s.router, s.node, head.w, ascending, free, dead,
+		s.rng, s.ids, s.sim.Arena(), &s.dec, in.plans)
+	in.plans = plans
 	if err != nil {
 		panic(fmt.Sprintf("%s: input %d: %v", s.Name(), i, err))
 	}
@@ -624,11 +632,14 @@ func (s *Switch) decode(i int, now int64) {
 		return
 	}
 	s.stats.Replications += int64(len(plans) - 1)
-	in.branches = make([]*branch, len(plans))
-	for bi, p := range plans {
-		in.branches[bi] = &branch{in: i, out: p.Port, child: p.Child, reqAt: now}
+	brs := in.branches[:0]
+	for _, p := range plans {
+		var b *branch
+		brs, b = switches.AppendRecord(brs)
+		*b = branch{in: i, out: p.Port, child: p.Child, reqAt: now}
 		s.reqBits[p.Port] |= 1 << uint(i)
 	}
+	in.branches = brs
 	in.minSent = 0
 	in.mode = modeActive
 }
@@ -650,7 +661,7 @@ func (s *Switch) sinkHead(i int, now int64) {
 		s.ports[i].In.ReturnCredit(now, delta)
 	}
 	if head.got == head.w.Len() {
-		in.queue = in.queue[1:]
+		in.queue = switches.PopFront(in.queue)
 		in.minSent = 0
 		in.mode = modeIdle
 		s.sim.Progress()

@@ -52,7 +52,10 @@ import (
 // Config describes one simulated system and workload.
 type Config = core.Config
 
-// Simulator is a fully wired system instance.
+// Simulator is a fully wired system instance. A program that builds many
+// simulators in turn may call Release once it has read a run's results,
+// handing the run's memory to the next simulator; otherwise the garbage
+// collector reclaims it as usual.
 type Simulator = core.Simulator
 
 // Results carries the measurements of one run.

@@ -19,8 +19,15 @@
 # simulator's own speed, not the sweep runner's sharing of identical points.
 # A sweep whose recorded runs differ from its points fails the gate.
 #
+# Each sweep must also stay within a heap budget per run (alloc_bytes /
+# runs from the bench record): link queues sized by the wire, garbage-free
+# decode and released run memory keep both gate sweeps near 0.4-0.6 MB per
+# run, while rings sized by credit capacity cost 4.5-6 MB. The budget
+# leaves room for allocator differences between Go releases.
+#
 # Override the floors (cycles/sec) with PERF_GATE_FLOOR and
-# PERF_GATE_COLL_FLOOR, e.g. for a local run on a loaded laptop:
+# PERF_GATE_COLL_FLOOR, e.g. for a local run on a loaded laptop (bytes
+# allocated do not depend on machine load, so the budget is fixed):
 # PERF_GATE_FLOOR=1 PERF_GATE_COLL_FLOOR=1 scripts/perf_gate.sh
 set -eu
 
@@ -28,6 +35,7 @@ cd "$(dirname "$0")/.."
 
 FLOOR="${PERF_GATE_FLOOR:-40000}"
 COLL_FLOOR="${PERF_GATE_COLL_FLOOR:-40000}"
+RUN_BYTES=1500000
 OUT="$(mktemp)"
 trap 'rm -f "$OUT"' EXIT
 
@@ -48,6 +56,18 @@ gate() {
     runs="$(grep -o '"runs": *[0-9]*' "$OUT" | tail -1 | sed 's/.*: *//')"
     if [ -z "$runs" ] || [ "$runs" != "$points" ]; then
         echo "perf_gate: FAIL - $label sweep ($exps) simulated ${runs:-no recorded} runs for $points points; the gate needs one run per point" >&2
+        exit 1
+    fi
+
+    alloc="$(grep -o '"alloc_bytes": *[0-9]*' "$OUT" | tail -1 | sed 's/.*: *//')"
+    if [ -z "$alloc" ]; then
+        echo "perf_gate: no alloc_bytes in bench output for $label sweep" >&2
+        exit 1
+    fi
+    per_run=$((alloc / runs))
+    echo "perf_gate: $label sweep ($exps) allocated $per_run bytes per run (budget $RUN_BYTES)"
+    if [ "$per_run" -gt "$RUN_BYTES" ]; then
+        echo "perf_gate: FAIL - $label sweep allocated $per_run bytes per run, over the budget of $RUN_BYTES" >&2
         exit 1
     fi
 
