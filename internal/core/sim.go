@@ -37,7 +37,8 @@ type Simulator struct {
 
 	outstanding int // ops not yet fully delivered
 	genOn       bool
-	released    bool // Release was called; any further use panics
+	arrivals    []traffic.Request // generate's per-cycle scratch
+	released    bool              // Release was called; any further use panics
 
 	// Run's phase machine, checkpointable mid-run: phase tracks how far the
 	// methodology has advanced, backlog is the NIC queue depth measured at
@@ -518,16 +519,15 @@ func (s *Simulator) startCollectiveStep(st collective.Step) (*flit.Op, error) {
 	return op, nil
 }
 
-// generate draws this cycle's new operations from the traffic generator.
+// generate starts this cycle's new operations from the traffic generator,
+// in node order. Cycles before the generator's next arrival cost one
+// comparison.
 func (s *Simulator) generate() error {
-	if !s.genOn || s.gen == nil {
+	if !s.genOn || s.gen == nil || s.sim.Now < s.gen.Next() {
 		return nil
 	}
-	for node := 0; node < s.net.N; node++ {
-		req, ok := s.gen.Draw(node)
-		if !ok {
-			continue
-		}
+	s.arrivals = s.gen.Arrivals(s.sim.Now, s.arrivals[:0])
+	for _, req := range s.arrivals {
 		if _, err := s.StartOp(req.Src, req.Dests, req.Multicast, req.Payload); err != nil {
 			return err
 		}
@@ -594,17 +594,8 @@ func (s *Simulator) RunCheckpointed(every int64, sink func(data []byte, cycle in
 	}
 
 	if s.phase == phaseLoad {
-		for s.sim.Now < s.col.MeasureEnd {
-			if err := s.generate(); err != nil {
-				return stats.Results{}, err
-			}
-			s.sim.Step()
-			if err := s.watchdog(); err != nil {
-				return stats.Results{}, err
-			}
-			if err := checkpoint(); err != nil {
-				return stats.Results{}, err
-			}
+		if err := s.loadPhase(checkpoint); err != nil {
+			return stats.Results{}, err
 		}
 		s.backlog = 0
 		for _, n := range s.nics {
@@ -678,6 +669,31 @@ func (s *Simulator) RunCheckpointed(every int64, sink func(data []byte, cycle in
 	return r, nil
 }
 
+// loadPhase steps the cycles up to the end of measurement, generating
+// traffic in each. The generator draws ahead only inside this loop: on every
+// other path (Step, RunOp, barriers, Drain, a snapshot between runs) its
+// streams stay where per-cycle drawing would have left them, because no
+// other path generates.
+func (s *Simulator) loadPhase(checkpoint func() error) error {
+	if s.genOn && s.gen != nil {
+		s.gen.SetWindow(s.sim.Now, s.col.MeasureEnd)
+		defer func() { s.gen.SetWindow(s.sim.Now, s.sim.Now) }()
+	}
+	for s.sim.Now < s.col.MeasureEnd {
+		if err := s.generate(); err != nil {
+			return err
+		}
+		s.sim.Step()
+		if err := s.watchdog(); err != nil {
+			return err
+		}
+		if err := checkpoint(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Invariants exposes the run's invariant checker for inspection.
 func (s *Simulator) Invariants() *engine.Invariants { return s.sim.Invariants() }
 
@@ -700,8 +716,8 @@ func (s *Simulator) RunOp(src int, dests []int, multicast bool, payload int, bud
 	return op.LastLatency(), op, nil
 }
 
-// Step advances the simulation one cycle (generating traffic if a Run is in
-// progress); exposed for fine-grained tests.
+// Step advances the simulation one cycle without generating traffic;
+// exposed for fine-grained tests.
 func (s *Simulator) Step() {
 	s.mustLive()
 	s.sim.Step()

@@ -94,7 +94,7 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 
 	if s.gen != nil {
 		tr := w.Section(secTraffic)
-		states := s.gen.States()
+		states := s.gen.States(s.sim.Now)
 		tr.Int(len(states))
 		for _, st := range states {
 			tr.U64(st)
@@ -197,7 +197,7 @@ func (s *Simulator) restoreInto(r *ckpt.Reader) error {
 				states[i] = d.U64()
 			}
 			if d.Err() == nil {
-				if err := s.gen.SetStates(states); err != nil {
+				if err := s.gen.SetStates(states, s.sim.Now); err != nil {
 					d.Fail("%v", err)
 				}
 			}

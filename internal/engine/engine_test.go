@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +92,46 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRNGSkip checks that skipping n draws lands where n draws do.
+func TestRNGSkip(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 1000} {
+		drawn, skipped := NewRNG(23), NewRNG(23)
+		for i := uint64(0); i < n; i++ {
+			drawn.Uint64()
+		}
+		skipped.Skip(n)
+		if drawn.State() != skipped.State() || drawn.Uint64() != skipped.Uint64() {
+			t.Fatalf("Skip(%d) diverged from %d draws", n, n)
+		}
+	}
+}
+
+// TestRNGBernoulliRun checks the batched scan against one Bernoulli call
+// per draw: the same count of failed draws and the same final position,
+// for probabilities at and beyond the edges of [0, 1].
+func TestRNGBernoulliRun(t *testing.T) {
+	ps := []float64{0, -0.5, math.NaN(), 1e-300, 1e-4, 0.01, 0.3, 0.5,
+		3.0 / (1 << 53), 1 - 1.0/(1<<53), 1, 1.5, math.Inf(1)}
+	pr := NewRNG(17)
+	for i := 0; i < 200; i++ {
+		ps = append(ps, pr.Float64())
+	}
+	for i, p := range ps {
+		for _, limit := range []int64{0, 1, 7, 5000} {
+			seed := uint64(i)*1000 + uint64(limit)
+			want, got := NewRNG(seed), NewRNG(seed)
+			var k int64
+			for k < limit && !want.Bernoulli(p) {
+				k++
+			}
+			if n := got.BernoulliRun(p, limit); n != k || got.State() != want.State() {
+				t.Fatalf("p=%g limit=%d: run of %d ending at %#x, Bernoulli calls %d ending at %#x",
+					p, limit, n, got.State(), k, want.State())
+			}
+		}
 	}
 }
 

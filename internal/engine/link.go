@@ -175,7 +175,13 @@ func (l *Link) Carried() int64 { return l.carried }
 // InFlight returns the number of flits currently on the wire.
 func (l *Link) InFlight() int { return l.inflight.len() }
 
+// drainCredits adds the credit returns due by now to the sender's count.
+// Only a drain that adds credits can overflow (restore rejects a count
+// above capacity), so the overflow check runs only then.
 func (l *Link) drainCredits(now int64) {
+	if l.creditsQ.len() == 0 || l.creditsQ.front().at > now {
+		return
+	}
 	for l.creditsQ.len() > 0 && l.creditsQ.front().at <= now {
 		l.credits += l.creditsQ.pop().v
 	}
@@ -193,6 +199,12 @@ func (l *Link) drainCredits(now int64) {
 // boundaries so flit conservation holds.
 func (l *Link) CanSend(now int64) bool {
 	l.drainCredits(now)
+	return l.sendable(now)
+}
+
+// sendable is CanSend's answer from the credit count as it stands, without
+// draining due returns.
+func (l *Link) sendable(now int64) bool {
 	if now < l.stuckUntil {
 		return false
 	}
@@ -209,9 +221,11 @@ func (l *Link) Credits(now int64) int {
 }
 
 // Send pushes one flit onto the wire; it arrives at now+latency. It panics
-// if called without CanSend — senders must check first.
+// if called without CanSend — senders must check first. After the caller's
+// CanSend no credit return is due, so Send only rechecks the drained state
+// and falls back to the full CanSend when that check fails.
 func (l *Link) Send(now int64, r flit.Ref) {
-	if !l.CanSend(now) {
+	if !l.sendable(now) && !l.CanSend(now) {
 		panic(fmt.Sprintf("engine: link %s: Send without credit/bandwidth at cycle %d", l.name, now))
 	}
 	l.checkOrder(now, r)
@@ -261,7 +275,8 @@ func (l *Link) checkOrder(now int64, r flit.Ref) {
 
 // Arrived returns the oldest flit whose arrival time has passed, without
 // consuming it. The second result is false if nothing has arrived or the
-// receiver already took a flit this cycle.
+// receiver already took a flit this cycle. Receivers that take whatever
+// arrived use Receive; Arrived is the peek for those that must look first.
 func (l *Link) Arrived(now int64) (flit.Ref, bool) {
 	if l.lastTake >= now || l.inflight.len() == 0 || l.inflight.front().at > now {
 		return flit.Ref{}, false
@@ -273,9 +288,19 @@ func (l *Link) Arrived(now int64) (flit.Ref, bool) {
 // responsible for storing it (credit discipline guarantees space) and for
 // returning a credit once the space frees.
 func (l *Link) TakeArrived(now int64) flit.Ref {
-	r, ok := l.Arrived(now)
+	r, ok := l.Receive(now)
 	if !ok {
 		panic(fmt.Sprintf("engine: link %s: TakeArrived with nothing arrived at cycle %d", l.name, now))
+	}
+	return r
+}
+
+// Receive consumes and returns the flit Arrived would report, if any, in
+// one probe. The receiver's duties are TakeArrived's.
+func (l *Link) Receive(now int64) (flit.Ref, bool) {
+	r, ok := l.Arrived(now)
+	if !ok {
+		return r, false
 	}
 	l.inflight.pop()
 	if l.inflight.len() == 0 && l.sim != nil {
@@ -283,7 +308,7 @@ func (l *Link) TakeArrived(now int64) flit.Ref {
 	}
 	l.lastTake = now
 	l.carried++
-	return r
+	return r, true
 }
 
 // BindWireMark makes every Send set bit `bit` of *word. A receiver keeps a
@@ -327,8 +352,15 @@ func (l *Link) Capacity() int { return l.capacity }
 
 // Fail marks the link permanently dead at worm granularity (LinkDown fault):
 // a worm mid-transfer finishes, after which CanSend refuses new worms.
-// In-flight flits are never dropped.
-func (l *Link) Fail() { l.failed = true }
+// In-flight flits are never dropped. The owning simulation counts each
+// failed link once (see Simulation.FailedLinks); a link no simulation owns
+// is not counted.
+func (l *Link) Fail() {
+	if !l.failed && l.sim != nil {
+		l.sim.failedLinks++
+	}
+	l.failed = true
+}
 
 // Dead reports whether Fail was applied. Senders and routing use it to drop
 // or reroute new worms at a clean boundary instead of waiting forever.

@@ -3,6 +3,8 @@
 // control, and the simulation loop with a progress watchdog.
 package engine
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random generator (splitmix64).
 // Every stochastic decision in the simulator draws from an RNG seeded from
 // the run configuration, so identical configurations replay identically.
@@ -39,6 +41,10 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Skip moves the stream n draws ahead without drawing: every draw adds the
+// same constant to the state, so n draws add n times it (mod 2^64).
+func (r *RNG) Skip(n uint64) { r.state += n * 0x9e3779b97f4a7c15 }
+
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -55,6 +61,27 @@ func (r *RNG) Float64() float64 {
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
+}
+
+// BernoulliRun draws Bernoulli(p) until one succeeds or limit draws are
+// spent, and returns the number of failed draws before the success (limit
+// if none succeeded). The stream ends exactly where that many Bernoulli
+// calls would leave it.
+func (r *RNG) BernoulliRun(p float64, limit int64) int64 {
+	// Float64() < p compares x/2^53 with p for a 53-bit integer x; both
+	// sides are exact, so it equals the integer test x < ceil(p*2^53).
+	var thr uint64 // 0 never succeeds: p <= 0 or NaN
+	switch {
+	case p >= 1:
+		thr = 1 << 53
+	case p > 0:
+		thr = uint64(math.Ceil(p * (1 << 53)))
+	}
+	var k int64
+	for k < limit && r.Uint64()>>11 >= thr {
+		k++
+	}
+	return k
 }
 
 // Perm returns a random permutation of [0, n).

@@ -107,7 +107,11 @@ type Simulation struct {
 	arena flit.Arena
 	// busyLinks counts links with at least one flit on the wire, so
 	// quiescence and jump decisions are O(1) instead of a fabric scan.
-	busyLinks    int
+	busyLinks int
+	// failedLinks counts links Fail was applied to, so sweeps for dead
+	// links cost nothing on a fault-free fabric. Derived from the links'
+	// failed flags: restore rebuilds it, snapshots never store it.
+	failedLinks  int
 	activity     int64
 	lastActivity int64
 	tracer       Tracer
@@ -271,6 +275,10 @@ func (s *Simulation) Release() {
 
 // Links returns all registered links.
 func (s *Simulation) Links() []*Link { return s.links }
+
+// FailedLinks returns how many of the simulation's links have failed. While
+// it is zero no link is Dead, so searches for dead links can be skipped.
+func (s *Simulation) FailedLinks() int { return s.failedLinks }
 
 // Progress lets a component declare internal forward progress (for example,
 // draining a software-overhead timer) so the watchdog does not fire while

@@ -159,8 +159,9 @@ func (s *Simulation) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 		}
 	}
 	// Rebuild the derived scheduler state: the awake bitmap mirrors the
-	// asleep flags, the busy-link census mirrors the decoded wires, and the
-	// event queue starts empty (DecodeEvents or WakeAll fills in wakes).
+	// asleep flags, the busy- and failed-link censuses mirror the decoded
+	// wires, and the event queue starts empty (DecodeEvents or WakeAll
+	// fills in wakes).
 	for i := range s.awake {
 		s.awake[i] = 0
 	}
@@ -172,10 +173,13 @@ func (s *Simulation) DecodeState(d *ckpt.Dec, g *ckpt.Graph) {
 			s.awakeCount++
 		}
 	}
-	s.busyLinks = 0
+	s.busyLinks, s.failedLinks = 0, 0
 	for _, l := range s.links {
 		if l.inflight.len() > 0 {
 			s.busyLinks++
+		}
+		if l.failed {
+			s.failedLinks++
 		}
 	}
 	s.evq.reset(s.Now)

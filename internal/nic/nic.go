@@ -172,10 +172,10 @@ func (nc *NIC) stepEject(now int64) {
 	if nc.eject == nil {
 		return
 	}
-	if _, ok := nc.eject.Arrived(now); !ok {
+	r, ok := nc.eject.Receive(now)
+	if !ok {
 		return
 	}
-	r := nc.eject.TakeArrived(now)
 	// The NIC consumes at link rate; the buffer slot frees immediately.
 	nc.eject.ReturnCredit(now, 1)
 	nc.stats.FlitsEjected++

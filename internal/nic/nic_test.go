@@ -47,7 +47,7 @@ type env struct {
 	delivered []*flit.Message
 }
 
-func newEnv(t *testing.T, cfg Config) *env {
+func newEnv(t testing.TB, cfg Config) *env {
 	t.Helper()
 	e := &env{sim: engine.NewSimulation(10_000)}
 	e.inject = e.sim.NewLink("inj", 1, 16)
@@ -228,4 +228,25 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero receive FIFO accepted")
 	}
+}
+
+// BenchmarkNICInject measures a NIC's inject path at the default software
+// overheads: 64 queued unicast messages of 32 payload flits each, stepped
+// until every flit is on the wire. Reports ns per injected flit.
+func BenchmarkNICInject(b *testing.B) {
+	const msgs, payload = 64, 32
+	flits := 0
+	for i := 0; i < b.N; i++ {
+		e := newEnv(b, DefaultConfig())
+		for k := 0; k < msgs; k++ {
+			e.nic.Submit(e.newMsg([]int{(4 + k%15) % 16}, payload, nil, nil)) // never node 3 itself
+		}
+		want := msgs * (payload + 1)
+		ok, err := e.sim.RunUntil(func() bool { return len(e.out.flits) == want }, 100_000)
+		if !ok || err != nil {
+			b.Fatalf("injected %d of %d flits: %v", len(e.out.flits), want, err)
+		}
+		flits += want
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flits), "ns/flit")
 }

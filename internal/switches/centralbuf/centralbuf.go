@@ -815,7 +815,7 @@ func (s *Switch) decode(i int, now int64) {
 	// A nil dead predicate keeps healthy fabrics on the allocation-free
 	// routing fast path; avoidance engages only once a link has failed.
 	var dead func(port int) bool
-	if switches.AnyDeadOut(s.ports) {
+	if s.sim.FailedLinks() > 0 && switches.AnyDeadOut(s.ports) {
 		dead = func(port int) bool {
 			out := s.ports[port].Out
 			return out != nil && out.Dead()
@@ -998,8 +998,7 @@ func (s *Switch) acceptArrivals(now int64) {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 | bits.TrailingZeros64(word)
 			l := s.ports[i].In
-			if _, ok := l.Arrived(now); ok {
-				r := l.TakeArrived(now)
+			if r, ok := l.Receive(now); ok {
 				if s.in[i].q.Len() >= s.cfg.InFIFOFlits {
 					panic(fmt.Sprintf("%s: input %d FIFO overflow (credit protocol violated)", s.Name(), i))
 				}

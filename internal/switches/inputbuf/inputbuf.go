@@ -299,8 +299,12 @@ func (s *Switch) Step(now int64) {
 
 // dropDeadBranches abandons branches whose output link died before they
 // began sending; a branch that already sent its head finishes normally
-// (failure lands at worm boundaries, so flit conservation holds).
+// (failure lands at worm boundaries, so flit conservation holds). With no
+// failed link in the simulation there is nothing to find.
 func (s *Switch) dropDeadBranches(now int64) {
+	if s.sim.FailedLinks() == 0 {
+		return
+	}
 	for w, word := range s.inBusy.Words() {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 | bits.TrailingZeros64(word)
@@ -604,7 +608,7 @@ func (s *Switch) decode(i int, now int64) {
 	// A nil dead predicate keeps healthy fabrics on the allocation-free
 	// routing fast path; avoidance engages only once a link has failed.
 	var dead func(port int) bool
-	if switches.AnyDeadOut(s.ports) {
+	if s.sim.FailedLinks() > 0 && switches.AnyDeadOut(s.ports) {
 		dead = func(port int) bool {
 			out := s.ports[port].Out
 			return out != nil && out.Dead()
@@ -675,8 +679,7 @@ func (s *Switch) acceptArrivals(now int64) {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 | bits.TrailingZeros64(word)
 			l := s.ports[i].In
-			if _, ok := l.Arrived(now); ok {
-				r := l.TakeArrived(now)
+			if r, ok := l.Receive(now); ok {
 				in := &s.in[i]
 				if in.occupancy >= s.cfg.BufFlits {
 					panic(fmt.Sprintf("%s: input %d buffer overflow (credit protocol violated)", s.Name(), i))

@@ -2,24 +2,28 @@ package traffic
 
 import "fmt"
 
-// States returns the position of every per-node random stream, in node
-// order, for checkpointing.
-func (g *Generator) States() []uint64 {
-	out := make([]uint64, len(g.rngs))
-	for i, r := range g.rngs {
-		out[i] = r.State()
+// States returns the position of every per-node random stream at the start
+// of cycle now, in node order, for checkpointing: exactly the positions
+// drawing one Bernoulli per window cycle (plus each arrival's request draws)
+// would have reached.
+func (g *Generator) States(now int64) []uint64 {
+	out := make([]uint64, len(g.nodes))
+	for i := range g.nodes {
+		out[i] = g.position(&g.nodes[i], now)
 	}
 	return out
 }
 
-// SetStates repositions every per-node stream. The slice must cover exactly
-// the generator's nodes.
-func (g *Generator) SetStates(states []uint64) error {
-	if len(states) != len(g.rngs) {
-		return fmt.Errorf("traffic: %d stream states for %d nodes", len(states), len(g.rngs))
+// SetStates repositions every per-node stream to its position at the start
+// of cycle now and stops generation there; SetWindow resumes it. The slice
+// must cover exactly the generator's nodes.
+func (g *Generator) SetStates(states []uint64, now int64) error {
+	if len(states) != len(g.nodes) {
+		return fmt.Errorf("traffic: %d stream states for %d nodes", len(states), len(g.nodes))
 	}
 	for i, s := range states {
-		g.rngs[i].SetState(s)
+		g.nodes[i] = stream{base: s, from: now, at: noArrival}
 	}
+	g.end, g.next = now, noArrival
 	return nil
 }

@@ -6,6 +6,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"mdworm/internal/engine"
 )
@@ -79,22 +80,42 @@ type Request struct {
 }
 
 // Generator draws requests deterministically from per-node random streams.
+// Each node's stream takes one Bernoulli draw per generating cycle, plus the
+// request draws of every arrival. Instead of drawing every node every cycle,
+// the generator draws each stream ahead, cycle by cycle, to the node's next
+// arrival or to the end of its window, and records that cycle; cycles before
+// the earliest recorded arrival cost nothing. The stream positions it reports
+// are the ones per-cycle drawing would have reached.
 type Generator struct {
-	spec Spec
-	n    int
-	rngs []*engine.RNG
+	spec  Spec
+	nodes []stream
+	end   int64 // first cycle of the window that draws nothing
+	next  int64 // earliest recorded arrival, noArrival if none
 }
+
+// stream is one node's draw-ahead state: base is its position at the start
+// of cycle from, and at is the first cycle in [from, end) whose Bernoulli
+// draw succeeds — the node's next arrival — or noArrival if none does.
+type stream struct {
+	base uint64
+	from int64
+	at   int64
+}
+
+// noArrival marks a stream with no arrival left in the window.
+const noArrival = math.MaxInt64
 
 // NewGenerator creates a generator for n nodes seeded from seed. Each node
 // has an independent stream, so results are insensitive to evaluation order.
+// The generator draws nothing until SetWindow opens a window.
 func NewGenerator(spec Spec, n int, seed uint64) (*Generator, error) {
 	if err := spec.Validate(n); err != nil {
 		return nil, err
 	}
 	root := engine.NewRNG(seed)
-	g := &Generator{spec: spec, n: n, rngs: make([]*engine.RNG, n)}
-	for i := range g.rngs {
-		g.rngs[i] = root.Fork(uint64(i))
+	g := &Generator{spec: spec, nodes: make([]stream, n), next: noArrival}
+	for i := range g.nodes {
+		g.nodes[i] = stream{base: root.Fork(uint64(i)).State(), at: noArrival}
 	}
 	return g, nil
 }
@@ -102,27 +123,90 @@ func NewGenerator(spec Spec, n int, seed uint64) (*Generator, error) {
 // Spec returns the generator's workload spec.
 func (g *Generator) Spec() Spec { return g.spec }
 
-// Draw returns the operation node generates this cycle, if any.
-func (g *Generator) Draw(node int) (Request, bool) {
-	rng := g.rngs[node]
-	if !rng.Bernoulli(g.spec.OpRate) {
-		return Request{}, false
+// position returns the stream position of st at the start of cycle now: one
+// draw per window cycle in [from, now), none past the window's end.
+func (g *Generator) position(st *stream, now int64) uint64 {
+	rng := engine.NewRNG(st.base)
+	rng.Skip(uint64(min(now, g.end) - st.from))
+	return rng.State()
+}
+
+// SetWindow makes the generator draw once per cycle in [now, end), starting
+// from every stream's position at now. SetWindow(now, now) stops generation
+// with the positions frozen at now.
+func (g *Generator) SetWindow(now, end int64) {
+	for i := range g.nodes {
+		st := &g.nodes[i]
+		st.base = g.position(st, now)
+		st.from = now
 	}
+	g.end = max(end, now)
+	g.next = noArrival
+	for i := range g.nodes {
+		g.scan(&g.nodes[i])
+		g.next = min(g.next, g.nodes[i].at)
+	}
+}
+
+// scan draws st ahead from the start of cycle st.from, one Bernoulli per
+// cycle, and records the first cycle whose draw succeeds.
+func (g *Generator) scan(st *stream) {
+	rng := engine.NewRNG(st.base)
+	st.at = st.from + rng.BernoulliRun(g.spec.OpRate, g.end-st.from)
+	if st.at >= g.end {
+		st.at = noArrival
+	}
+}
+
+// Next returns the earliest cycle at which a node has an arrival, or
+// math.MaxInt64 if no arrival is left in the window.
+func (g *Generator) Next() int64 { return g.next }
+
+// Arrivals appends the operations the nodes generate in cycle now, in node
+// order, and draws each generating node ahead to its next arrival. Cycles
+// must be visited in order, none skipped before Next.
+func (g *Generator) Arrivals(now int64, dst []Request) []Request {
+	if now < g.next {
+		return dst
+	}
+	g.next = noArrival
+	for node := range g.nodes {
+		st := &g.nodes[node]
+		if st.at < now {
+			panic(fmt.Sprintf("traffic: node %d's arrival at cycle %d skipped (now %d)", node, st.at, now))
+		}
+		if st.at == now {
+			// Resume after this cycle's successful arrival draw.
+			rng := engine.NewRNG(g.position(st, now))
+			rng.Skip(1)
+			dst = append(dst, g.request(node, rng))
+			st.base, st.from = rng.State(), now+1
+			g.scan(st)
+		}
+		g.next = min(g.next, st.at)
+	}
+	return dst
+}
+
+// request draws the body of an operation node generates, after its arrival
+// draw.
+func (g *Generator) request(node int, rng *engine.RNG) Request {
+	n := len(g.nodes)
 	req := Request{Src: node}
 	if rng.Bernoulli(g.spec.MulticastFraction) {
 		req.Multicast = true
 		req.Payload = g.spec.McastPayloadFlits
-		req.Dests = rng.Sample(g.n, g.spec.Degree, map[int]bool{node: true})
+		req.Dests = rng.Sample(n, g.spec.Degree, map[int]bool{node: true})
 	} else {
 		req.Payload = g.spec.UniPayloadFlits
 		if g.spec.HotSpotFraction > 0 && node != g.spec.HotSpotNode &&
 			rng.Bernoulli(g.spec.HotSpotFraction) {
 			req.Dests = []int{g.spec.HotSpotNode}
 		} else {
-			req.Dests = []int{pickOther(rng, g.n, node)}
+			req.Dests = []int{pickOther(rng, n, node)}
 		}
 	}
-	return req, true
+	return req
 }
 
 func pickOther(rng *engine.RNG, n, self int) int {
